@@ -181,12 +181,6 @@ class FocusMap:
         return self.values.shape[1]
 
 
-def _kernel_scales(magnitudes: np.ndarray, s_clamp: tuple[float, float]) -> np.ndarray:
-    """Per-point width multipliers, median-normalized and clamped."""
-    median = float(np.median(magnitudes))
-    return np.clip(magnitudes / max(median, _MEDIAN_GUARD), s_clamp[0], s_clamp[1])
-
-
 # The accumulator is filled in bands of rows that stay in a core's cache
 # while every kernel reaching them is added; a map this size or smaller
 # is one band. Each pixel still takes its kernels in point order, so the
@@ -198,6 +192,15 @@ _BAND_BYTES = 1 << 21
 # no larger than the default buffer gains less than the switch costs.
 _UFUNC_BUFSIZE = 256
 _DEFAULT_UFUNC_BUFSIZE = 8192
+
+
+def _gaussians(grid: np.ndarray, centres: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """exp(-(grid - c)^2 / denom) for each centre c: one row per centre."""
+    d = np.subtract(grid, centres[:, None])
+    np.multiply(d, d, out=d)
+    np.negative(d, out=d)
+    np.divide(d, denom, out=d)
+    return np.exp(d, out=d)
 
 
 def _render_arrays(us: np.ndarray, vs: np.ndarray, mags: np.ndarray,
@@ -219,21 +222,37 @@ def _render_arrays(us: np.ndarray, vs: np.ndarray, mags: np.ndarray,
     """
     kernels = []
     if us.size:
-        scales = _kernel_scales(mags, cfg.s_clamp)
-        for u, v, s in zip(us, vs, scales):
-            sd = sigma * s
-            half = cfg.truncation_radius * sd
-            x0 = max(0, math.ceil(u - half))
-            x1 = min(width - 1, math.floor(u + half))
-            y0 = max(0, math.ceil(v - half))
-            y1 = min(height - 1, math.floor(v + half))
-            if x0 > x1 or y0 > y1:
-                continue
-            dx = np.arange(x0, x1 + 1, dtype=np.float64) - u
-            dy = np.arange(y0, y1 + 1, dtype=np.float64) - v
-            denom = 2.0 * sd * sd
-            kernels.append((x0, x1 + 1, y0, y1 + 1,
-                            np.exp(-(dx * dx) / denom), np.exp(-(dy * dy) / denom)))
+        # The window median as np.median takes it (the middle value, or
+        # the mean of the middle two), then the clamped width multipliers.
+        ranked = np.sort(mags)
+        mid = ranked.size // 2
+        median = ranked[mid] if ranked.size % 2 else (ranked[mid - 1] + ranked[mid]) / 2.0
+        scales = mags / max(float(median), _MEDIAN_GUARD)
+        np.maximum(scales, cfg.s_clamp[0], out=scales)
+        np.minimum(scales, cfg.s_clamp[1], out=scales)
+        sd = sigma * scales
+        half = cfg.truncation_radius * sd
+        # Window bounds of every kernel, rows (u, x) and (v, y), clipped
+        # to the image. They stay floats until the kernels that miss the
+        # image are dropped, so a far-off centre (|u| near 1e300 when a_z
+        # is close to eps_z) is never cast to an int.
+        centres = np.stack((us, vs))
+        lo = np.ceil(centres - half)
+        hi = np.floor(centres + half)
+        np.maximum(lo, 0.0, out=lo)
+        np.minimum(hi, [[width - 1], [height - 1]], out=hi)
+        hit = (lo <= hi).all(axis=0)
+        if hit.any():
+            us, vs, sd = us[hit], vs[hit], sd[hit]
+            lo = lo[:, hit].astype(np.intp)
+            hi = hi[:, hit].astype(np.intp) + 1
+            denom = (2.0 * sd * sd)[:, None]
+            rows = _gaussians(np.arange(width, dtype=np.float64), us, denom)
+            cols = _gaussians(np.arange(height, dtype=np.float64), vs, denom)
+            # Per kernel: x0, x1, y0, y1 (ends exclusive), its row over
+            # x0:x1 and its column over the whole map height.
+            kernels = [(x0, x1, y0, y1, rows[k, x0:x1], cols[k])
+                       for k, (x0, y0, x1, y1) in enumerate(zip(*lo.tolist(), *hi.tolist()))]
     acc = np.empty((height, width)) if out is None else out
     band = max(1, _BAND_BYTES // acc[0].nbytes)
     products = np.empty(min(band, height) * width) if scratch is None else scratch.reshape(-1)
@@ -246,7 +265,7 @@ def _render_arrays(us: np.ndarray, vs: np.ndarray, mags: np.ndarray,
                 top, bottom = max(y0, b0), min(y1, b1)
                 if top < bottom:
                     product = products[:(bottom - top) * (x1 - x0)].reshape(bottom - top, x1 - x0)
-                    np.multiply(col[top - y0:bottom - y0, None], row, out=product)
+                    np.multiply(col[top:bottom, None], row, out=product)
                     window = acc[top:bottom, x0:x1]
                     np.add(window, product, out=window)
     finally:

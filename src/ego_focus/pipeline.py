@@ -6,14 +6,18 @@ window size, the trailing point window and the map resolution, never
 by stream length; outputs are written per frame through atomic
 temp-file renames, so an interrupted run leaves only complete files.
 
-Rendering (and only rendering) can fan out over a small thread pool,
-sized by the EGO_FOCUS_THREADS environment variable (0 = auto). Each
-frame's map is computed by exactly one worker with a fixed internal
-order, so results are byte-identical for any thread count.
+Rendering and encoding (and only those) can fan out over a small thread
+pool, sized by the EGO_FOCUS_THREADS environment variable (0 = auto).
+Each frame's map is computed by exactly one worker with a fixed internal
+order, so results are byte-identical for any thread count. Workers hand
+back encoded bytes; the calling thread writes every file, in frame
+order, so an interrupted run leaves a contiguous prefix of frames and
+no directory has two threads creating files in it at once.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import resource
 import threading
@@ -25,7 +29,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, StreamFormatError
 from .geometry import CameraPose, Intrinsics, PoseBatch
 from .motion import (
     DEFAULT_DEPTH_ALPHA,
@@ -185,7 +189,11 @@ def iter_windows(poses: Iterable[Union[CameraPose, PoseBatch]],
 
 
 class _FrameWriter:
-    """Renders one frame's window of points and writes its files."""
+    """Renders one frame's window of points and encodes its files.
+
+    A call returns the map's contributing-point count and the frame's
+    outputs as (path, bytes) pairs, for the caller to write.
+    """
 
     def __init__(self, out_dir: str, map_k: Intrinsics, sigma: float, cfg: FocusConfig,
                  emit_float: bool, depth_dir: Optional[str], depth_alpha: float):
@@ -197,8 +205,12 @@ class _FrameWriter:
         self.depth_dir = depth_dir
         self.depth_alpha = depth_alpha
         self._buffers = threading.local()
+        # Every map of a run has one size, so every map without a
+        # contributing kernel has these bytes.
+        self.zero_pgm = streams.pgm_bytes(np.zeros((map_k.height, map_k.width)))
 
-    def __call__(self, frame: int, us: np.ndarray, vs: np.ndarray, mags: np.ndarray) -> int:
+    def __call__(self, frame: int, us: np.ndarray, vs: np.ndarray,
+                 mags: np.ndarray) -> tuple[int, list[tuple[str, bytes]]]:
         # Each thread renders and encodes in its own two map-sized arrays,
         # reused frame after frame instead of allocated afresh per map.
         buffers = getattr(self._buffers, "maps", None)
@@ -208,21 +220,25 @@ class _FrameWriter:
         acc, scratch = buffers
         fmap = _render_arrays(us, vs, mags, self.map_k.width, self.map_k.height,
                               self.sigma, self.cfg, out=acc, scratch=scratch)
-        streams.write_pgm(fmap.values, os.path.join(self.out_dir, streams.focus_map_name(frame)),
-                          scratch)
+        pgm = self.zero_pgm if fmap.contributing_points == 0 \
+            else streams.pgm_bytes(fmap.values, scratch)
+        outputs = [(os.path.join(self.out_dir, streams.focus_map_name(frame)), pgm)]
         if self.emit_float:
-            streams.write_focus_map_float(
-                fmap.values, os.path.join(self.out_dir, streams.focus_map_name(frame, "mfm"))
-            )
+            outputs.append((os.path.join(self.out_dir, streams.focus_map_name(frame, "mfm")),
+                            streams.raw_map_bytes(fmap.values, streams.FOCUS_MAP_MAGIC)))
         if self.depth_dir is not None:
             depth_path = os.path.join(self.depth_dir, streams.depth_input_name(frame))
-            depth = streams.read_depth_map(depth_path).astype(np.float64)
-            out = modulate_depth(depth, fmap, self.depth_alpha)
-            streams.write_depth_map(
-                out.astype(np.float32),
-                os.path.join(self.out_dir, streams.depth_output_name(frame)),
-            )
-        return fmap.contributing_points
+            depth = streams.read_depth_map(depth_path)
+            if depth.shape != fmap.values.shape:
+                raise StreamFormatError(
+                    f"{depth_path}: depth map is {depth.shape[1]}x{depth.shape[0]}, "
+                    f"the focus map {fmap.width}x{fmap.height}"
+                )
+            out = modulate_depth(depth.astype(np.float64), fmap, self.depth_alpha)
+            outputs.append((os.path.join(self.out_dir, streams.depth_output_name(frame)),
+                            streams.raw_map_bytes(out.astype(np.float32),
+                                                  streams.DEPTH_MAP_MAGIC)))
+        return fmap.contributing_points, outputs
 
 
 def run_stream(poses: Iterable[Union[CameraPose, PoseBatch]], intrinsics: Intrinsics,
@@ -279,23 +295,26 @@ def run_stream_batches(batches: Iterable[Sequence[CameraPose]], intrinsics: Intr
     motion = MotionStream(intrinsics, fcfg)
     window: deque[tuple[float, float, float, bool]] = deque(maxlen=cfg.focus_n)
     summary = RunSummary()
-    residual_writer = streams.ResidualCsvWriter(residuals_path) if residuals_path else None
-    points_writer = streams.FocusPointCsvWriter(os.path.join(out_dir, "focus_points.csv"))
-
-    executor: Optional[ThreadPoolExecutor] = None
     pending: deque[Future] = deque()
     max_inflight = 2 * n_threads
-    if n_threads > 1:
-        executor = ThreadPoolExecutor(max_workers=n_threads)
 
-    def _finish(future_or_count) -> None:
-        contributing = future_or_count.result() if isinstance(future_or_count, Future) \
-            else future_or_count
+    def _finish(rendered: tuple[int, list[tuple[str, bytes]]]) -> None:
+        contributing, outputs = rendered
+        for path, data in outputs:
+            streams.atomic_write_bytes(path, data)
         summary.maps_written += 1
         if contributing == 0:
             summary.zero_maps += 1
 
-    try:
+    # On an exception the CSV writers drop their partial files; the pool
+    # is shut down first, so no worker is still running by then.
+    with contextlib.ExitStack() as stack:
+        points_writer = stack.enter_context(
+            streams.FocusPointCsvWriter(os.path.join(out_dir, "focus_points.csv")))
+        residual_writer = stack.enter_context(streams.ResidualCsvWriter(residuals_path)) \
+            if residuals_path else None
+        executor = stack.enter_context(ThreadPoolExecutor(max_workers=n_threads)) \
+            if n_threads > 1 else None
         for batch in batches:
             state, emitted = stitch_step(state, batch, plan,
                                          anchor_mode=cfg.anchor_mode,
@@ -342,15 +361,9 @@ def run_stream_batches(batches: Iterable[Sequence[CameraPose]], intrinsics: Intr
                 else:
                     pending.append(executor.submit(writer, frame, us, vs, mags))
                     while len(pending) >= max_inflight:
-                        _finish(pending.popleft())
+                        _finish(pending.popleft().result())
         while pending:
-            _finish(pending.popleft())
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
-        if residual_writer is not None:
-            residual_writer.close()
-        points_writer.close()
+            _finish(pending.popleft().result())
 
     summary.frames_in = summary.frames_in or summary.frames_emitted
     summary.wall_seconds = time.perf_counter() - t_start

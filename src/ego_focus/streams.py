@@ -19,6 +19,7 @@ only complete files.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -61,9 +62,14 @@ class PoseStreamRecord:
         return CameraPose.from_matrix(self.frame, self.T_wc, row_tol=_POSE_ROW_TOL)
 
 
+def _is_number(x) -> bool:
+    """An int or float, but not a bool (which Python counts as an int)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _parse_vec3(obj, key: str, line_no: int) -> np.ndarray:
     if (not isinstance(obj, (list, tuple)) or len(obj) != 3
-            or not all(isinstance(x, (int, float)) for x in obj)):
+            or not all(_is_number(x) for x in obj)):
         raise StreamFormatError(f"line {line_no}: truth.{key} must be a list of 3 numbers")
     return np.array(obj, dtype=np.float64)
 
@@ -80,10 +86,10 @@ def _parse_record(line: str, line_no: int) -> PoseStreamRecord:
         flat = obj["T_wc"]
     except KeyError as err:
         raise StreamFormatError(f"line {line_no}: missing key {err.args[0]!r}") from err
-    if not isinstance(frame, int) or frame < 0:
+    if not isinstance(frame, int) or isinstance(frame, bool) or frame < 0:
         raise StreamFormatError(f"line {line_no}: frame must be a non-negative integer")
     if (not isinstance(flat, list) or len(flat) != 16
-            or not all(isinstance(x, (int, float)) for x in flat)):
+            or not all(_is_number(x) for x in flat)):
         raise StreamFormatError(f"line {line_no}: T_wc must be a list of 16 numbers")
     matrix = np.array(flat, dtype=np.float64).reshape(4, 4)
     if np.abs(matrix[3] - np.array([0.0, 0.0, 0.0, 1.0])).max() > _POSE_ROW_TOL:
@@ -182,18 +188,21 @@ def records_from_poses(poses: Sequence[CameraPose],
 
 def load_intrinsics(source: Union[str, os.PathLike, IO[str]]) -> Intrinsics:
     """Read pinhole intrinsics JSON; errors name the offending key."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    else:
-        obj = json.load(source)
+    try:
+        if isinstance(source, (str, os.PathLike)):
+            with open(source, "r", encoding="utf-8") as fh:
+                obj = json.load(fh)
+        else:
+            obj = json.load(source)
+    except ValueError as err:  # malformed JSON or text that is not UTF-8
+        raise ConfigError("intrinsics", f"invalid JSON: {err}") from err
     if not isinstance(obj, dict):
         raise ConfigError("intrinsics", "expected a JSON object")
     values = {}
     for key in ("fx", "fy", "cx", "cy"):
         if key not in obj:
             raise ConfigError(key, "missing from intrinsics")
-        if not isinstance(obj[key], (int, float)) or not math.isfinite(obj[key]):
+        if not _is_number(obj[key]) or not math.isfinite(obj[key]):
             raise ConfigError(key, f"must be a finite number, got {obj[key]!r}")
         values[key] = float(obj[key])
     for key in ("width", "height"):
@@ -202,7 +211,7 @@ def load_intrinsics(source: Union[str, os.PathLike, IO[str]]) -> Intrinsics:
         v = obj[key]
         if isinstance(v, float) and v.is_integer():
             v = int(v)
-        if not isinstance(v, int):
+        if not isinstance(v, int) or isinstance(v, bool):
             raise ConfigError(key, f"must be an integer, got {obj[key]!r}")
         values[key] = v
     return Intrinsics(**values)
@@ -275,7 +284,8 @@ def read_pgm(path: Union[str, os.PathLike]) -> np.ndarray:
     return np.frombuffer(raw[: w * h], dtype=np.uint8).reshape(h, w)
 
 
-def _raw_map_bytes(values: np.ndarray, magic: bytes) -> bytes:
+def raw_map_bytes(values: np.ndarray, magic: bytes) -> bytes:
+    """A map as a float32 sidecar: magic, width, height, then the values."""
     h, w = values.shape
     return magic + struct.pack("<II", w, h) + values.astype("<f4").tobytes()
 
@@ -293,7 +303,7 @@ def _read_raw_map(path: Union[str, os.PathLike], magic: bytes) -> np.ndarray:
 
 
 def write_focus_map_float(values: np.ndarray, path: Union[str, os.PathLike]) -> None:
-    atomic_write_bytes(path, _raw_map_bytes(values, FOCUS_MAP_MAGIC))
+    atomic_write_bytes(path, raw_map_bytes(values, FOCUS_MAP_MAGIC))
 
 
 def read_focus_map_float(path: Union[str, os.PathLike]) -> np.ndarray:
@@ -301,7 +311,7 @@ def read_focus_map_float(path: Union[str, os.PathLike]) -> np.ndarray:
 
 
 def write_depth_map(values: np.ndarray, path: Union[str, os.PathLike]) -> None:
-    atomic_write_bytes(path, _raw_map_bytes(values, DEPTH_MAP_MAGIC))
+    atomic_write_bytes(path, raw_map_bytes(values, DEPTH_MAP_MAGIC))
 
 
 def read_depth_map(path: Union[str, os.PathLike]) -> np.ndarray:
@@ -320,19 +330,63 @@ def depth_input_name(frame: int) -> str:
     return f"depth_{frame:06d}.mfd"
 
 
-class FocusPointCsvWriter:
+class _CsvWriter:
+    """Streams CSV rows under a header to an open file or to a path.
+
+    A path gets its rows through a temp file in the same directory that
+    is renamed onto the path by close(); discard() drops it instead, so
+    a failed run leaves no partial file. As a context manager the writer
+    closes on success and discards on an exception.
+    """
+
+    HEADER = ""
+
+    def __init__(self, target: Union[str, os.PathLike, IO[str]]):
+        self._path = self._tmp = None
+        if isinstance(target, (str, os.PathLike)):
+            self._path = os.fspath(target)
+            fd, self._tmp = tempfile.mkstemp(prefix=".tmp-",
+                                             dir=os.path.dirname(self._path) or ".")
+            self._fh: IO[str] = os.fdopen(fd, "w", encoding="utf-8")
+        else:
+            self._fh = target
+        self._fh.write(self.HEADER + "\n")
+
+    def close(self) -> None:
+        if self._tmp is None:
+            return
+        try:
+            self._fh.close()
+            os.replace(self._tmp, self._path)
+        except BaseException:
+            self.discard()
+            raise
+        self._tmp = None
+
+    def discard(self) -> None:
+        if self._tmp is None:
+            return
+        tmp, self._tmp = self._tmp, None
+        # The rows are being thrown away, so a failing flush is no news.
+        with contextlib.suppress(OSError):
+            self._fh.close()
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self.discard()
+
+
+class FocusPointCsvWriter(_CsvWriter):
     """Streams focus points to CSV: frame,u,v,ax,ay,az,mag,projectable."""
 
     HEADER = "frame,u,v,ax,ay,az,mag,projectable"
-
-    def __init__(self, target: Union[str, os.PathLike, IO[str]]):
-        if isinstance(target, (str, os.PathLike)):
-            self._fh: IO[str] = open(target, "w", encoding="utf-8")
-            self._owned = True
-        else:
-            self._fh = target
-            self._owned = False
-        self._fh.write(self.HEADER + "\n")
 
     def write_block(self, block: MotionBlock) -> None:
         for i in range(len(block)):
@@ -345,24 +399,11 @@ class FocusPointCsvWriter:
                 f"{float(block.magnitude[i])!r},{int(ok)}\n"
             )
 
-    def close(self) -> None:
-        if self._owned:
-            self._fh.close()
 
-
-class ResidualCsvWriter:
+class ResidualCsvWriter(_CsvWriter):
     """Streams boundary residuals: boundary_index,frame,center_dist,rot_angle_rad."""
 
     HEADER = "boundary_index,frame,center_dist,rot_angle_rad"
-
-    def __init__(self, target: Union[str, os.PathLike, IO[str]]):
-        if isinstance(target, (str, os.PathLike)):
-            self._fh: IO[str] = open(target, "w", encoding="utf-8")
-            self._owned = True
-        else:
-            self._fh = target
-            self._owned = False
-        self._fh.write(self.HEADER + "\n")
 
     def write_residual(self, residual: BoundaryResidual) -> None:
         for i, frame in enumerate(residual.frames):
@@ -370,10 +411,6 @@ class ResidualCsvWriter:
                 f"{residual.boundary_index},{frame},"
                 f"{float(residual.center_dist[i])!r},{float(residual.rot_angle_rad[i])!r}\n"
             )
-
-    def close(self) -> None:
-        if self._owned:
-            self._fh.close()
 
 
 def write_bench_csv(rows: Sequence[dict], target: Union[str, os.PathLike, IO[str]]) -> None:

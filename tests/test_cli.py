@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ego_focus.cli import main
-from ego_focus.streams import read_pgm, write_intrinsics
+from ego_focus.streams import read_pgm, write_depth_map, write_intrinsics
 from ego_focus import Intrinsics
 
 WIDE = Intrinsics(fx=10.0, fy=10.0, cx=320.0, cy=240.0, width=640, height=480)
@@ -89,6 +89,35 @@ class TestRun:
         ])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_malformed_intrinsics_fails_cleanly(self, tmp_path, capsys):
+        poses = sim(tmp_path)
+        k_path = tmp_path / "k.json"
+        k_path.write_text('{"fx": 10, "fy": ')
+        rc = main([
+            "run", "--poses", str(poses), "--intrinsics", str(k_path),
+            "--out-dir", str(tmp_path / "o"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: intrinsics: invalid JSON")
+
+    def test_wrong_size_depth_map_fails_cleanly(self, tmp_path, capsys):
+        poses = sim(tmp_path)
+        k_path = tmp_path / "k.json"
+        write_intrinsics(WIDE, k_path)
+        depth_dir = tmp_path / "depth"
+        depth_dir.mkdir()
+        for frame in range(90):
+            write_depth_map(np.ones((48, 64)), depth_dir / f"depth_{frame:06d}.mfd")
+        rc = main([
+            "run", "--poses", str(poses), "--intrinsics", str(k_path),
+            "--out-dir", str(tmp_path / "o"), "--depth-dir", str(depth_dir),
+            "--threads", "2",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "depth_000002.mfd" in err and "64x48" in err and "640x480" in err
 
 
 class TestBench:

@@ -20,7 +20,7 @@ from ego_focus import (
     render_focus_map,
     rotation_about_gravity,
 )
-from ego_focus.motion import FocusMap
+from ego_focus.motion import FocusMap, _render_arrays
 
 K = Intrinsics(fx=500.0, fy=500.0, cx=200.0, cy=150.0, width=400, height=300)
 
@@ -257,6 +257,102 @@ class TestRenderFocusMap:
         assert default_sigma_px(400) == 16.0
         assert FocusConfig().resolved_sigma(400) == 16.0
         assert FocusConfig(sigma_px=5.0).resolved_sigma(400) == 5.0
+
+
+def oracle_render(us, vs, mags, width, height, sigma, cfg):
+    """The per-kernel loop, one kernel window at a time in point order."""
+    acc = np.zeros((height, width))
+    contributing = 0
+    if len(us):
+        median = float(np.median(mags))
+        scales = np.clip(mags / max(median, 1e-12), cfg.s_clamp[0], cfg.s_clamp[1])
+        for u, v, s in zip(us, vs, scales):
+            sd = sigma * s
+            half = cfg.truncation_radius * sd
+            x0 = max(0, math.ceil(u - half))
+            x1 = min(width - 1, math.floor(u + half))
+            y0 = max(0, math.ceil(v - half))
+            y1 = min(height - 1, math.floor(v + half))
+            if x0 > x1 or y0 > y1:
+                continue
+            dx = np.arange(x0, x1 + 1, dtype=np.float64) - u
+            dy = np.arange(y0, y1 + 1, dtype=np.float64) - v
+            denom = 2.0 * sd * sd
+            row = np.exp(-(dx * dx) / denom)
+            col = np.exp(-(dy * dy) / denom)
+            window = acc[y0:y1 + 1, x0:x1 + 1]
+            window += col[:, None] * row
+            contributing += 1
+    if contributing:
+        z = acc.max() if cfg.normalize == "peak" else acc.sum()
+        if z > 0.0:
+            acc /= z
+    return acc, contributing
+
+
+class TestRenderAgainstOracle:
+    """_render_arrays equals the per-kernel loop bit for bit."""
+
+    @staticmethod
+    def check(us, vs, mags, width, height, sigma, cfg):
+        us, vs, mags = (np.asarray(a, dtype=np.float64) for a in (us, vs, mags))
+        want, n = oracle_render(us, vs, mags, width, height, sigma, cfg)
+        fmap = _render_arrays(us, vs, mags, width, height, sigma, cfg)
+        assert fmap.contributing_points == n
+        np.testing.assert_array_equal(fmap.values, want)
+        # again through reused buffers holding stale values
+        out = np.full((height, width), 7.0)
+        scratch = np.full((height, width), -3.0)
+        reused = _render_arrays(us, vs, mags, width, height, sigma, cfg,
+                                out=out, scratch=scratch)
+        assert reused.contributing_points == n
+        np.testing.assert_array_equal(reused.values, want)
+        return n
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 8, 15])
+    @pytest.mark.parametrize("normalize", ["peak", "sum"])
+    def test_random_windows(self, count, normalize):
+        rng = np.random.default_rng(count)
+        cfg = FocusConfig(normalize=normalize)
+        for width, height in ((80, 60), (97, 41)):
+            for _ in range(20):
+                # centres spread well past the edges: kernels land on the
+                # image, partly off it and wholly off it
+                us = rng.uniform(-0.5 * width, 1.5 * width, count)
+                vs = rng.uniform(-0.5 * height, 1.5 * height, count)
+                mags = rng.lognormal(0.0, 1.5, count)
+                self.check(us, vs, mags, width, height, 0.04 * width, cfg)
+
+    def test_several_row_bands(self):
+        # 2 MiB bands of 1000-pixel rows hold 262 rows: three bands here
+        rng = np.random.default_rng(5)
+        us = rng.uniform(-100, 1100, 12)
+        vs = rng.uniform(-100, 700, 12)
+        mags = rng.lognormal(0.0, 1.0, 12)
+        assert self.check(us, vs, mags, 1000, 600, 40.0, FocusConfig()) > 1
+
+    def test_far_off_centres(self):
+        cfg = FocusConfig()
+        us = [1e300, -1e300, 40.0, 40.0, 1e300]
+        vs = [30.0, 30.0, 1e300, -1e300, -1e300]
+        assert self.check(us, vs, [1.0] * 5, 80, 60, 3.2, cfg) == 0
+        assert self.check(us + [41.5], vs + [29.25], [1.0] * 6, 80, 60, 3.2, cfg) == 1
+        assert self.check([1e300, 40.0], [30.0, 30.0], [1.0, 1.0], 80, 60, 3.2,
+                          FocusConfig(normalize="sum")) == 1
+
+    def test_wholly_off_image(self):
+        assert self.check([-50.0, 200.0], [30.0, 30.0], [1.0, 2.0], 80, 60, 3.2,
+                          FocusConfig()) == 0
+
+    @pytest.mark.parametrize("normalize", ["peak", "sum"])
+    def test_one_pixel_map(self, normalize):
+        cfg = FocusConfig(normalize=normalize)
+        assert self.check([0.0], [0.0], [1.0], 1, 1, 0.04, cfg) == 1
+        assert self.check([0.3, -0.2], [0.4, 0.1], [1.0, 3.0], 1, 1, 0.5, cfg) == 2
+        assert self.check([2.0], [0.0], [1.0], 1, 1, 0.04, cfg) == 0
+
+    def test_no_points(self):
+        assert self.check([], [], [], 80, 60, 3.2, FocusConfig()) == 0
 
 
 class TestModulateDepth:

@@ -1,10 +1,12 @@
 import os
+import threading
 
 import numpy as np
 import pytest
 
 from ego_focus import (
     ConfigError,
+    FocusConfig,
     Intrinsics,
     PlanError,
     RunConfig,
@@ -20,7 +22,9 @@ from ego_focus import (
     run_stream_batches,
     write_depth_map,
 )
-from ego_focus.pipeline import THREADS_ENV_VAR, resolve_threads
+from ego_focus import streams
+from ego_focus.errors import StreamFormatError
+from ego_focus.pipeline import THREADS_ENV_VAR, _FrameWriter, resolve_threads
 
 WIDE = Intrinsics(fx=10.0, fy=10.0, cx=320.0, cy=240.0, width=640, height=480)
 NARROW = Intrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
@@ -257,3 +261,66 @@ class TestRunStream:
         a = (tmp_path / "rough" / "focus_000050.pgm").read_bytes()
         b = (tmp_path / "smooth" / "focus_000050.pgm").read_bytes()
         assert a != b
+
+
+class TestOutputWrites:
+    def test_calling_thread_writes_every_file_in_frame_order(self, monkeypatch, tmp_path):
+        calls = []
+        real = streams.atomic_write_bytes
+
+        def recording(path, data):
+            calls.append((threading.get_ident(), os.path.basename(path), data))
+            real(path, data)
+
+        monkeypatch.setattr(streams, "atomic_write_bytes", recording)
+        runs = {}
+        for threads in (1, 2, 4):
+            cfg = RunConfig(threads=threads, emit_float_maps=True, window_size=20, overlap=5)
+            run_stream(iter(arc_poses(90)), WIDE, cfg, str(tmp_path / f"t{threads}"))
+            runs[threads], calls[:] = list(calls), []
+        caller = threading.get_ident()
+        expected = [name for frame in range(2, 90)
+                    for name in (f"focus_{frame:06d}.pgm", f"focus_{frame:06d}.mfm")]
+        for recorded in runs.values():
+            assert {thread for thread, _, _ in recorded} == {caller}
+            assert [name for _, name, _ in recorded] == expected
+        assert runs[2] == runs[1]
+        assert runs[4] == runs[1]
+
+    def test_zero_maps_reuse_one_encoding(self):
+        k = Intrinsics(fx=10.0, fy=10.0, cx=40.0, cy=30.0, width=80, height=60)
+        writer = _FrameWriter("out", k, 3.2, FocusConfig(), False, None, 0.15)
+        assert writer.zero_pgm == streams.pgm_bytes(np.zeros((60, 80)))
+        empty = np.empty(0)
+        contributing, outputs = writer(7, empty, empty, empty)
+        assert contributing == 0
+        assert outputs == [(os.path.join("out", "focus_000007.pgm"), writer.zero_pgm)]
+        # a kernel wholly off the image is also a zero map
+        far = np.array([1e300])
+        assert writer(8, far, far, np.ones(1))[1][0][1] is writer.zero_pgm
+
+    def test_wrong_size_depth_map_names_file_and_shapes(self, tmp_path):
+        depth_dir = tmp_path / "depth"
+        depth_dir.mkdir()
+        write_depth_map(np.ones((24, 32)), depth_dir / "depth_000002.mfd")
+        with pytest.raises(StreamFormatError, match=r"depth_000002\.mfd.* 32x24.* 640x480"):
+            run_stream(iter(arc_poses(20)), WIDE, RunConfig(), str(tmp_path / "o"),
+                       depth_dir=str(depth_dir))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failed_run_leaves_no_partial_csv(self, tmp_path, threads):
+        # depth maps run out at frame 40, so the run fails mid-stream
+        depth_dir = tmp_path / "depth"
+        depth_dir.mkdir()
+        for frame in range(2, 40):
+            write_depth_map(np.full((480, 640), 10.0), depth_dir / f"depth_{frame:06d}.mfd")
+        out = tmp_path / "o"
+        cfg = RunConfig(threads=threads, window_size=20, overlap=5)
+        with pytest.raises(FileNotFoundError, match="depth_000040"):
+            run_stream(iter(arc_poses(90)), WIDE, cfg, str(out),
+                       residuals_path=str(out / "residuals.csv"), depth_dir=str(depth_dir))
+        names = sorted(os.listdir(out))
+        assert not [n for n in names if n.startswith(".tmp-") or n.endswith(".csv")]
+        # the files written are those of a contiguous run of frames, 2 to 39
+        assert names == sorted(f"{kind}_{frame:06d}.{ext}" for frame in range(2, 40)
+                               for kind, ext in (("focus", "pgm"), ("depth_mod", "mfd")))

@@ -111,6 +111,21 @@ class TestLoadPoseStream:
         records = list(load_pose_stream(stream_of(json.dumps(obj))))
         np.testing.assert_array_equal(records[0].truth.position, [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("field", ["frame", "T_wc", "position", "velocity", "acceleration"])
+    def test_bool_is_not_a_number(self, field):
+        # bool is an int subclass, so true would otherwise load as 1
+        obj = json.loads(IDENTITY_LINE)
+        obj["truth"] = {"position": [0.0] * 3, "velocity": [0.0] * 3,
+                        "acceleration": [0.0] * 3}
+        if field == "frame":
+            obj["frame"] = True
+        elif field == "T_wc":
+            obj["T_wc"][0] = True
+        else:
+            obj["truth"][field][1] = False
+        with pytest.raises(StreamFormatError, match=field):
+            list(load_pose_stream(stream_of(json.dumps(obj))))
+
     def test_bad_truth_vector_rejected(self):
         obj = json.loads(IDENTITY_LINE)
         obj["truth"] = {"position": [1.0, 2.0], "velocity": [0] * 3, "acceleration": [0] * 3}
@@ -167,6 +182,23 @@ class TestIntrinsicsIo:
         bad = dict(self.GOOD, height=480.5)
         with pytest.raises(ConfigError, match="height"):
             load_intrinsics(io.StringIO(json.dumps(bad)))
+
+    @pytest.mark.parametrize("key", ["fx", "fy", "cx", "cy", "width", "height"])
+    def test_bool_value_rejected(self, key):
+        bad = dict(self.GOOD, **{key: True})
+        with pytest.raises(ConfigError, match=key):
+            load_intrinsics(io.StringIO(json.dumps(bad)))
+
+    @pytest.mark.parametrize("text", ['{"fx": 500,', "", "not json"])
+    def test_malformed_json_is_a_config_error(self, text):
+        with pytest.raises(ConfigError, match="intrinsics: invalid JSON"):
+            load_intrinsics(io.StringIO(text))
+
+    def test_non_utf8_file_is_a_config_error(self, tmp_path):
+        path = tmp_path / "k.json"
+        path.write_bytes(b'{"fx": \xff}')
+        with pytest.raises(ConfigError, match="intrinsics"):
+            load_intrinsics(path)
 
     def test_default_sigma_rule_at_full_hd(self):
         from ego_focus import FocusConfig
@@ -328,6 +360,23 @@ class TestCsvWriters:
         assert lines[0] == "boundary_index,frame,center_dist,rot_angle_rad"
         assert lines[1] == "2,55,0.0,0.0"
         assert lines[2] == "2,56,1e-13,2e-13"
+
+    def test_path_target_appears_only_on_close(self, tmp_path):
+        path = tmp_path / "residuals.csv"
+        writer = ResidualCsvWriter(path)
+        assert not path.exists()
+        writer.close()
+        assert path.read_text() == ResidualCsvWriter.HEADER + "\n"
+        assert os.listdir(tmp_path) == ["residuals.csv"]
+
+    def test_exception_leaves_no_file(self, tmp_path):
+        path = tmp_path / "focus_points.csv"
+        path.write_text("from an earlier run\n")
+        with pytest.raises(RuntimeError):
+            with FocusPointCsvWriter(path):
+                raise RuntimeError("mid-stream failure")
+        assert path.read_text() == "from an earlier run\n"
+        assert os.listdir(tmp_path) == ["focus_points.csv"]
 
     def test_bench_csv(self):
         buf = io.StringIO()
