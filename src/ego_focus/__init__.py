@@ -15,14 +15,9 @@ from .geometry import (
     Intrinsics,
     PoseBatch,
     RigidTransform,
-    camera_center,
-    compose,
     compose_gravity_ypr,
     decompose_gravity_ypr,
-    invert_pose,
-    invert_transform,
     orthonormalize,
-    project_pinhole,
     project_pinhole_many,
     rotation_about_gravity,
     rotation_angle,
@@ -31,12 +26,7 @@ from .motion import (
     FocusConfig,
     FocusMap,
     FocusPoint,
-    MotionSample,
     MotionStream,
-    acceleration_camera,
-    acceleration_world,
-    default_sigma_px,
-    focus_point,
     modulate_depth,
     render_focus_map,
 )
@@ -58,7 +48,6 @@ from .simulate import (
     iter_trajectory,
     oracle_focus_point,
     perturb_batches,
-    perturb_poses,
 )
 from .pipeline import RunConfig, RunSummary, iter_windows, run_stream, run_stream_batches
 from .benchmark import bench

@@ -9,6 +9,7 @@ from typing import Optional, Sequence
 
 from .benchmark import DEFAULT_RESOLUTIONS, DEFAULT_STREAM_SIZES, bench
 from .errors import EgoFocusError
+from .geometry import DEFAULT_EPS_Z
 from .motion import DEFAULT_FOCUS_N
 from .pipeline import RunConfig, RunSummary, run_stream
 from .simulate import SCENARIOS, ScenarioSpec, iter_trajectory
@@ -27,7 +28,7 @@ def _add_run_parser(sub: argparse._SubParsersAction) -> None:
                    help="trailing frames aggregated per map")
     p.add_argument("--sigma-px", type=float, default=None,
                    help="kernel sigma in pixels (default: 0.04 * width)")
-    p.add_argument("--eps-z", type=float, default=1e-6)
+    p.add_argument("--eps-z", type=float, default=DEFAULT_EPS_Z)
     p.add_argument("--normalize", choices=["peak", "sum"], default="peak")
     p.add_argument("--project-negative", choices=["skip", "mirror"], default="skip")
     p.add_argument("--smooth-positions", action="store_true",

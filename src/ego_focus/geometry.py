@@ -343,45 +343,6 @@ class RigidTransform:
                            _frozen(np.asarray(translation, dtype=np.float64).reshape(3)))
         return self
 
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Map points of shape (3,) or (n, 3)."""
-        p = np.asarray(points, dtype=np.float64)
-        return p @ self.rotation.T + self.translation
-
-    def matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
-
-
-def invert_pose(pose: CameraPose) -> CameraPose:
-    """Camera-to-world pose: rotation R.T, translation -R.T @ t."""
-    rt = pose.rotation.T
-    return CameraPose(pose.frame_index, rt, -rt @ pose.translation)
-
-
-def invert_transform(t: RigidTransform) -> RigidTransform:
-    rt = t.rotation.T
-    return RigidTransform(rt, -rt @ t.translation)
-
-
-def camera_center(pose: CameraPose) -> np.ndarray:
-    """World-space camera center of a world-to-camera pose."""
-    return pose.center
-
-
-def compose(a, b) -> RigidTransform:
-    """Composition (a o b)(x) = a(b(x)) of rigid maps.
-
-    Accepts any objects exposing ``rotation`` and ``translation``
-    (CameraPose or RigidTransform); the result is returned as a plain
-    RigidTransform.
-    """
-    rotation = a.rotation @ b.rotation
-    translation = a.rotation @ b.translation + a.translation
-    return RigidTransform(rotation, translation)
-
 
 @dataclass(frozen=True, slots=True)
 class GravityYpr:
@@ -504,33 +465,14 @@ class Intrinsics:
         )
 
 
-def project_pinhole(v: np.ndarray, k: Intrinsics, eps_z: float = DEFAULT_EPS_Z,
-                    allow_negative: bool = False):
-    """Project a camera-frame vector to pixel coordinates.
-
-    Returns (u, v) floats, or None when the forward component is too
-    small to project (v_z <= eps_z; with allow_negative, |v_z| <= eps_z).
-    The result is not clipped to the image bounds.
-    """
-    vec = np.asarray(v, dtype=np.float64).reshape(3)
-    vz = float(vec[2])
-    if allow_negative:
-        if abs(vz) <= eps_z:
-            return None
-    elif vz <= eps_z:
-        return None
-    return (
-        k.cx + k.fx * (float(vec[0]) / vz),
-        k.cy + k.fy * (float(vec[1]) / vz),
-    )
-
-
 def project_pinhole_many(vs: np.ndarray, k: Intrinsics, eps_z: float = DEFAULT_EPS_Z,
                          allow_negative: bool = False):
-    """Vectorized project_pinhole.
+    """Project camera-frame vectors (n, 3) to pixel coordinates.
 
-    Returns (uv, valid): uv is (n, 2) with NaN rows where valid is
-    False. Matches the scalar routine bit for bit on valid rows.
+    Row i maps to (cx + fx * (x / z), cy + fy * (y / z)), not clipped to
+    the image bounds. A row projects when z > eps_z, or with
+    allow_negative when |z| > eps_z. Returns (uv, valid): uv is (n, 2)
+    with NaN rows where valid is False.
     """
     v = np.asarray(vs, dtype=np.float64).reshape(-1, 3)
     vz = v[:, 2:]

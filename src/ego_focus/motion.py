@@ -15,8 +15,7 @@ Everything here is causal: the map for frame t depends only on frames
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,7 +26,6 @@ from .geometry import (
     CameraPose,
     Intrinsics,
     PoseBatch,
-    project_pinhole,
     project_pinhole_many,
 )
 
@@ -85,28 +83,6 @@ class FocusConfig:
         return self.sigma_px if self.sigma_px is not None else SIGMA_WIDTH_FRACTION * width
 
 
-def default_sigma_px(width: int) -> float:
-    """Kernel width rule: a fixed fraction of the image width."""
-    return SIGMA_WIDTH_FRACTION * width
-
-
-@dataclass(frozen=True, slots=True)
-class MotionSample:
-    """Discrete acceleration of one frame; camera part may be pending.
-
-    v_prev and v_cur are the per-frame world displacements p_{t-1}-p_{t-2}
-    and p_t-p_{t-1}; a_world = v_cur - v_prev exactly (same floating-point
-    expression, so the identity holds bitwise, not just approximately).
-    """
-
-    frame_index: int
-    a_world: np.ndarray
-    v_prev: Optional[np.ndarray] = None
-    v_cur: Optional[np.ndarray] = None
-    a_camera: Optional[np.ndarray] = None
-    magnitude: Optional[float] = None
-
-
 @dataclass(frozen=True, slots=True)
 class FocusPoint:
     """Projected acceleration of one frame.
@@ -120,43 +96,6 @@ class FocusPoint:
     v: Optional[float]
     magnitude: float
     projectable: bool
-
-
-def acceleration_world(p_t: np.ndarray, p_prev: np.ndarray, p_prev2: np.ndarray,
-                       frame_index: int) -> MotionSample:
-    """Second difference of camera centers at frame t."""
-    p_t = np.asarray(p_t, dtype=np.float64).reshape(3)
-    p_prev = np.asarray(p_prev, dtype=np.float64).reshape(3)
-    p_prev2 = np.asarray(p_prev2, dtype=np.float64).reshape(3)
-    v_cur = p_t - p_prev
-    v_prev = p_prev - p_prev2
-    a = v_cur - v_prev
-    return MotionSample(frame_index=frame_index, a_world=a, v_prev=v_prev, v_cur=v_cur)
-
-
-def acceleration_camera(sample: MotionSample, pose: CameraPose) -> MotionSample:
-    """Rotate a world acceleration into the camera frame of its pose."""
-    if pose.frame_index != sample.frame_index:
-        raise ValueError(
-            f"pose frame {pose.frame_index} does not match sample frame {sample.frame_index}"
-        )
-    # einsum, not @: bitwise-identical to the vectorized stream path
-    a_c = np.einsum("ij,j->i", pose.rotation, sample.a_world)
-    magnitude = math.sqrt((a_c[0] * a_c[0] + a_c[1] * a_c[1]) + a_c[2] * a_c[2])
-    return replace(sample, a_camera=a_c, magnitude=magnitude)
-
-
-def focus_point(sample: MotionSample, k: Intrinsics, cfg: FocusConfig) -> FocusPoint:
-    """Project a completed sample; never raises on backward acceleration."""
-    if sample.a_camera is None:
-        raise ValueError("sample has no camera-frame acceleration yet")
-    uv = project_pinhole(
-        sample.a_camera, k, eps_z=cfg.eps_z,
-        allow_negative=(cfg.project_negative == "mirror"),
-    )
-    if uv is None:
-        return FocusPoint(sample.frame_index, None, None, sample.magnitude, False)
-    return FocusPoint(sample.frame_index, uv[0], uv[1], sample.magnitude, True)
 
 
 @dataclass(frozen=True, slots=True)
@@ -339,12 +278,11 @@ class MotionBlock:
 
 
 class MotionStream:
-    """Streaming, chunk-vectorized variant of the per-sample routines.
+    """Second differences, camera-frame rotation and projection of a pose stream.
 
     Feed pose chunks in frame order; each call returns the samples that
     became complete. Results are bit-identical however the stream is
-    chunked, and match the scalar acceleration_world /
-    acceleration_camera / focus_point path.
+    chunked.
     """
 
     def __init__(self, k: Intrinsics, cfg: FocusConfig):
@@ -391,8 +329,9 @@ class MotionStream:
         if seq.shape[0] < 3:
             block = _empty_block()
         else:
-            # (p_t - p_{t-1}) - (p_{t-1} - p_{t-2}), the expression of
-            # acceleration_world, so both paths agree bitwise.
+            # (p_t - p_{t-1}) - (p_{t-1} - p_{t-2}) from each sample's own
+            # three centers, whatever rows came in the same chunk, so every
+            # sample has the same bits however the stream is chunked.
             step = seq[1:] - seq[:-1]
             a_w = step[1:] - step[:-1]
             skip = 2 - n_ctx  # leading chunk rows without two predecessors

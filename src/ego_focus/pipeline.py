@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, StreamFormatError
-from .geometry import CameraPose, Intrinsics, PoseBatch
+from .geometry import DEFAULT_EPS_Z, CameraPose, Intrinsics, PoseBatch
 from .motion import (
     DEFAULT_DEPTH_ALPHA,
     DEFAULT_FOCUS_N,
@@ -78,7 +78,7 @@ class RunConfig:
     overlap: int = DEFAULT_OVERLAP
     focus_n: int = DEFAULT_FOCUS_N
     sigma_px: Optional[float] = None
-    eps_z: float = 1e-6
+    eps_z: float = DEFAULT_EPS_Z
     normalize: str = "peak"
     project_negative: str = "skip"
     smooth_positions: bool = False

@@ -28,7 +28,6 @@ from .geometry import (
     PoseBatch,
     RigidTransform,
     compose_gravity_ypr,
-    project_pinhole,
     rotation_about_gravity,
 )
 from .motion import FocusConfig
@@ -289,38 +288,25 @@ def iter_trajectory(spec: ScenarioSpec, chunk_size: int = 512
         yield _poses_for_range(spec, params, start, min(start + chunk_size, spec.frames))
 
 
-def iter_poses(spec: ScenarioSpec, chunk_size: int = 512) -> Iterator[CameraPose]:
-    """Flat streaming view over iter_trajectory, one CameraPose per frame."""
-    for poses, _ in iter_trajectory(spec, chunk_size):
-        yield from poses
-
-
-def turn_direction(spec: ScenarioSpec) -> float:
-    """Sign of the lateral (image-u) offset of the arc's focus points.
-
-    +1 means the acceleration projects right of the principal point,
-    -1 left. Derived from the sign convention of the parameterization:
-    positive omega curves toward camera +X.
-    """
-    if spec.kind not in ("circular_arc", "head_yaw_divergence"):
-        raise ConfigError("scenario", "turn_direction is defined for arc-based scenarios")
-    return 1.0 if spec.omega > 0 else -1.0
-
-
 def oracle_focus_point(a_world: np.ndarray, pose: CameraPose, k: Intrinsics,
                        cfg: Optional[FocusConfig] = None):
     """Project a ground-truth world acceleration through a pose.
 
-    Rotation-multiply then pinhole projection; no second differences
-    involved. The discrete pipeline's second difference at frame t is
-    centered on frame t-1, so to predict its output pass the truth
-    acceleration of frame t-1 together with the pose of frame t.
-    Returns (u, v) or None when not projectable.
+    Rotation-multiply, then dehomogenisation of K @ a_c through the
+    intrinsic matrix; no second differences involved. The discrete
+    pipeline's second difference at frame t is centered on frame t-1,
+    so to predict its output pass the truth acceleration of frame t-1
+    together with the pose of frame t. Returns (u, v), or None when the
+    depth a_c[2] is at most cfg.eps_z (with project_negative="mirror",
+    when |a_c[2]| is).
     """
     cfg = cfg or FocusConfig()
     a_c = pose.rotation @ np.asarray(a_world, dtype=np.float64).reshape(3)
-    return project_pinhole(a_c, k, eps_z=cfg.eps_z,
-                           allow_negative=(cfg.project_negative == "mirror"))
+    depth = abs(a_c[2]) if cfg.project_negative == "mirror" else a_c[2]
+    if depth <= cfg.eps_z:
+        return None
+    h = k.K @ a_c
+    return float(h[0] / h[2]), float(h[1] / h[2])
 
 
 def perturb_batches(batches: Sequence[Sequence[CameraPose]],
@@ -366,37 +352,3 @@ def _compose_batch_world(batch: PoseBatch, d: RigidTransform) -> PoseBatch:
     """World-to-camera poses composed with a world-side map: T o D."""
     return PoseBatch(batch.first_frame, np.matmul(batch.rotations, d.rotation),
                      np.matmul(batch.rotations, d.translation) + batch.translations)
-
-
-def perturb_poses(poses: Sequence[CameraPose], amplitude: float,
-                  rotation_jitter_rad: float = 0.0, seed: int = 0,
-                  noise_kind: str = "bob") -> list[CameraPose]:
-    """Per-frame bounded zero-mean noise on centers (and orientation).
-
-    Zero amplitudes return the identical pose objects. The max center
-    displacement is strictly below `amplitude` by construction.
-    """
-    if amplitude == 0.0 and rotation_jitter_rad == 0.0:
-        return list(poses)
-    spec = ScenarioSpec(kind="constant_velocity", frames=max(1, len(poses)), seed=seed,
-                        bob_amplitude=amplitude, jitter_amplitude_rad=rotation_jitter_rad,
-                        noise_kind=noise_kind)
-    params = _NoiseParams.from_seed(seed)
-    t = np.array([p.frame_index for p in poses], dtype=np.float64)
-    offsets = _bob_offsets(spec, params, t)
-    out = []
-    for i, pose in enumerate(poses):
-        r = pose.rotation
-        if rotation_jitter_rad > 0.0:
-            if noise_kind == "white":
-                angle = rotation_jitter_rad * float(
-                    _splitmix_unit(seed, np.array([pose.frame_index]), 3)[0]
-                )
-            else:
-                angle = rotation_jitter_rad * math.sin(
-                    2.0 * math.pi * params.jitter_freq * t[i] + params.jitter_phase
-                )
-            r = (pose.rotation.T @ _rotvec_matrix(params.jitter_axis, angle)).T
-        center = pose.center + offsets[i]
-        out.append(CameraPose(pose.frame_index, r, -r @ center))
-    return out

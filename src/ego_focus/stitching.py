@@ -84,25 +84,15 @@ class WindowPlan:
             return 1
         return 1 + math.ceil((self.total_frames - self.window_size) / self.stride)
 
-    def window_bounds(self, k: int) -> tuple[int, int]:
-        """Half-open frame-offset range of window k."""
-        if self.total_frames is not None and not 0 <= k < self.n_windows:
-            raise PlanError(f"window {k} out of range (plan has {self.n_windows})")
-        start = k * self.stride
-        end = start + self.window_size
-        if self.total_frames is not None:
-            end = min(end, self.total_frames)
-        return start, end
-
     def windows(self) -> list[tuple[int, int]]:
-        return [self.window_bounds(k) for k in range(self.n_windows)]
+        """Half-open frame-offset range of every window of a known-length plan."""
+        return [(start, min(start + self.window_size, self.total_frames))
+                for start in range(0, self.n_windows * self.stride, self.stride)]
 
 
 def plan_windows(total_frames: int, window_size: int = DEFAULT_WINDOW_SIZE,
                  overlap: int = DEFAULT_OVERLAP) -> WindowPlan:
     """Plan for a stream of known length."""
-    if total_frames < 1:
-        raise PlanError(f"total_frames must be >= 1, got {total_frames}")
     return WindowPlan(window_size=window_size, overlap=overlap, total_frames=total_frames)
 
 

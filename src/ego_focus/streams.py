@@ -25,7 +25,6 @@ import math
 import os
 import struct
 import sys
-import tempfile
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
@@ -109,6 +108,24 @@ def _parse_record(line: str, line_no: int) -> PoseStreamRecord:
     return PoseStreamRecord(frame=frame, T_wc=matrix, truth=truth)
 
 
+@contextlib.contextmanager
+def _text_file(target: Union[str, os.PathLike, IO[str]], mode: str,
+               dash: Optional[IO[str]] = None) -> Iterator[IO[str]]:
+    """An open UTF-8 text file for a path, or the file given.
+
+    With ``dash`` set, the path '-' stands for it (stdin or stdout).
+    A path is opened here and closed on leaving; any other file is
+    left open.
+    """
+    if not isinstance(target, (str, os.PathLike)):
+        yield target
+    elif dash is not None and os.fspath(target) == "-":
+        yield dash
+    else:
+        with open(target, mode, encoding="utf-8") as fh:
+            yield fh
+
+
 def load_pose_stream(source: Union[str, os.PathLike, IO[str]]) -> Iterator[PoseStreamRecord]:
     """Stream records from a JSONL file, a path, or '-' for stdin.
 
@@ -116,28 +133,31 @@ def load_pose_stream(source: Union[str, os.PathLike, IO[str]]) -> Iterator[PoseS
     StreamDiscontinuityError naming the offending frame. Parsing is
     line by line, so arbitrarily long files run in constant memory.
     """
-    if isinstance(source, (str, os.PathLike)) and str(source) == "-":
-        yield from _iter_records(sys.stdin)
-    elif isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            yield from _iter_records(fh)
-    else:
-        yield from _iter_records(source)
+    with _text_file(source, "r", sys.stdin) as fh:
+        yield from _iter_records(fh)
 
 
 def _iter_records(fh: IO[str]) -> Iterator[PoseStreamRecord]:
     prev_frame = None
-    for line_no, line in enumerate(fh, start=1):
-        if not line.strip():
-            continue
-        record = _parse_record(line, line_no)
-        if prev_frame is not None and record.frame != prev_frame + 1:
-            raise StreamDiscontinuityError(
-                f"line {line_no}: frame {record.frame} follows {prev_frame}; "
-                f"expected {prev_frame + 1}"
-            )
-        prev_frame = record.frame
-        yield record
+    line_no = 0
+    try:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            record = _parse_record(line, line_no)
+            if prev_frame is not None and record.frame != prev_frame + 1:
+                raise StreamDiscontinuityError(
+                    f"line {line_no}: frame {record.frame} follows {prev_frame}; "
+                    f"expected {prev_frame + 1}"
+                )
+            prev_frame = record.frame
+            yield record
+    except UnicodeDecodeError as err:
+        # The text layer decodes one read at a time. The failing read
+        # starts on the line after the last one returned and err.object
+        # holds its bytes, so the newlines before the bad byte count too.
+        bad_line = line_no + 1 + err.object.count(b"\n", 0, err.start)
+        raise StreamFormatError(f"line {bad_line}: not UTF-8 ({err.reason})") from err
 
 
 def _record_to_json(record: PoseStreamRecord) -> str:
@@ -158,18 +178,9 @@ def write_pose_stream(target: Union[str, os.PathLike, IO[str]],
     Accepts a path ('-' for stdout) or an open text file.
     """
     count = 0
-    if isinstance(target, (str, os.PathLike)) and str(target) == "-":
+    with _text_file(target, "w", sys.stdout) as fh:
         for record in records:
-            sys.stdout.write(_record_to_json(record) + "\n")
-            count += 1
-    elif isinstance(target, (str, os.PathLike)):
-        with open(target, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(_record_to_json(record) + "\n")
-                count += 1
-    else:
-        for record in records:
-            target.write(_record_to_json(record) + "\n")
+            fh.write(_record_to_json(record) + "\n")
             count += 1
     return count
 
@@ -189,11 +200,8 @@ def records_from_poses(poses: Sequence[CameraPose],
 def load_intrinsics(source: Union[str, os.PathLike, IO[str]]) -> Intrinsics:
     """Read pinhole intrinsics JSON; errors name the offending key."""
     try:
-        if isinstance(source, (str, os.PathLike)):
-            with open(source, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-        else:
-            obj = json.load(source)
+        with _text_file(source, "r") as fh:
+            obj = json.load(fh)
     except ValueError as err:  # malformed JSON or text that is not UTF-8
         raise ConfigError("intrinsics", f"invalid JSON: {err}") from err
     if not isinstance(obj, dict):
@@ -220,28 +228,37 @@ def load_intrinsics(source: Union[str, os.PathLike, IO[str]]) -> Intrinsics:
 def write_intrinsics(k: Intrinsics, target: Union[str, os.PathLike, IO[str]]) -> None:
     obj = {"fx": k.fx, "fy": k.fy, "cx": k.cx, "cy": k.cy,
            "width": k.width, "height": k.height}
-    if isinstance(target, (str, os.PathLike)):
-        with open(target, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh)
-            fh.write("\n")
-    else:
-        json.dump(obj, target)
-        target.write("\n")
+    with _text_file(target, "w") as fh:
+        json.dump(obj, fh)
+        fh.write("\n")
+
+
+def _temp_beside(path: Union[str, os.PathLike]) -> tuple[int, str]:
+    """Create a new, empty ``.tmp-*`` file in the directory of ``path``.
+
+    Returns its write-only descriptor and its name. The file is created
+    with mode 0666 less the umask, the mode open() would give ``path``
+    itself, so renaming it onto ``path`` leaves the usual permissions.
+    """
+    directory = os.path.dirname(os.fspath(path)) or "."
+    while True:
+        tmp = os.path.join(directory, ".tmp-" + os.urandom(8).hex())
+        try:
+            return os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666), tmp
+        except FileExistsError:
+            continue
 
 
 def atomic_write_bytes(path: Union[str, os.PathLike], data: bytes) -> None:
     """Write via temp file + rename; readers never see partial files."""
-    directory = os.path.dirname(os.fspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
+    fd, tmp = _temp_beside(path)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 
@@ -345,8 +362,7 @@ class _CsvWriter:
         self._path = self._tmp = None
         if isinstance(target, (str, os.PathLike)):
             self._path = os.fspath(target)
-            fd, self._tmp = tempfile.mkstemp(prefix=".tmp-",
-                                             dir=os.path.dirname(self._path) or ".")
+            fd, self._tmp = _temp_beside(self._path)
             self._fh: IO[str] = os.fdopen(fd, "w", encoding="utf-8")
         else:
             self._fh = target
@@ -415,16 +431,10 @@ class ResidualCsvWriter(_CsvWriter):
 
 def write_bench_csv(rows: Sequence[dict], target: Union[str, os.PathLike, IO[str]]) -> None:
     """Benchmark report: stage,resolution,throughput,peak_mem_bytes."""
-    def _emit(fh: IO[str]) -> None:
+    with _text_file(target, "w") as fh:
         fh.write("stage,resolution,throughput,peak_mem_bytes\n")
         for row in rows:
             fh.write(
                 f"{row['stage']},{row['resolution']},{row['throughput']!r},"
                 f"{int(row['peak_mem_bytes'])}\n"
             )
-
-    if isinstance(target, (str, os.PathLike)):
-        with open(target, "w", encoding="utf-8") as fh:
-            _emit(fh)
-    else:
-        _emit(target)

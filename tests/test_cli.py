@@ -101,6 +101,18 @@ class TestRun:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: intrinsics: invalid JSON")
 
+    def test_non_utf8_pose_stream_fails_cleanly(self, tmp_path, capsys):
+        poses = tmp_path / "poses.jsonl"
+        poses.write_bytes(b"\xff\xfe")
+        k_path = tmp_path / "k.json"
+        write_intrinsics(WIDE, k_path)
+        rc = main([
+            "run", "--poses", str(poses), "--intrinsics", str(k_path),
+            "--out-dir", str(tmp_path / "o"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: line 1: not UTF-8")
+
     def test_wrong_size_depth_map_fails_cleanly(self, tmp_path, capsys):
         poses = sim(tmp_path)
         k_path = tmp_path / "k.json"

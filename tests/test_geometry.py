@@ -11,13 +11,8 @@ from ego_focus import (
     InvalidPoseError,
     PlanError,
     PoseBatch,
-    RigidTransform,
-    camera_center,
-    compose,
     compose_gravity_ypr,
     decompose_gravity_ypr,
-    invert_pose,
-    project_pinhole,
     project_pinhole_many,
     rotation_about_gravity,
     rotation_angle,
@@ -208,56 +203,18 @@ class TestPoseBatchSequence:
 
 
 class TestInversionAndCenters:
-    def test_invert_round_trip(self):
-        rng = np.random.default_rng(42)
-        for i in range(50):
-            pose = random_pose(rng, frame_index=i)
-            back = invert_pose(invert_pose(pose))
-            np.testing.assert_allclose(back.rotation, pose.rotation, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(
-                back.translation, pose.translation, rtol=0, atol=1e-12
-            )
-
     def test_center_matches_inverse_matrix(self):
         rng = np.random.default_rng(7)
         for i in range(50):
             pose = random_pose(rng, frame_index=i)
             expected = np.linalg.inv(pose.matrix())[:3, 3]
             np.testing.assert_allclose(pose.center, expected, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(camera_center(pose), pose.center, rtol=0, atol=0)
 
     def test_center_maps_to_origin(self):
         rng = np.random.default_rng(8)
         pose = random_pose(rng)
         mapped = pose.rotation @ pose.center + pose.translation
         np.testing.assert_allclose(mapped, np.zeros(3), rtol=0, atol=1e-14)
-
-
-class TestCompose:
-    def test_compose_matches_pointwise(self):
-        rng = np.random.default_rng(5)
-        a = RigidTransform(rotation=random_rotation(rng), translation=rng.standard_normal(3))
-        b = RigidTransform(rotation=random_rotation(rng), translation=rng.standard_normal(3))
-        ab = compose(a, b)
-        pts = rng.standard_normal((20, 3))
-        np.testing.assert_allclose(
-            ab.apply(pts), a.apply(b.apply(pts)), rtol=0, atol=1e-12
-        )
-
-    def test_compose_matrix_product(self):
-        rng = np.random.default_rng(6)
-        a = RigidTransform(rotation=random_rotation(rng), translation=rng.standard_normal(3))
-        b = RigidTransform(rotation=random_rotation(rng), translation=rng.standard_normal(3))
-        np.testing.assert_allclose(
-            compose(a, b).matrix(), a.matrix() @ b.matrix(), rtol=0, atol=1e-12
-        )
-
-    def test_identity_is_neutral(self):
-        rng = np.random.default_rng(9)
-        a = RigidTransform(rotation=random_rotation(rng), translation=rng.standard_normal(3))
-        e = RigidTransform.identity()
-        np.testing.assert_allclose(compose(a, e).matrix(), a.matrix(), rtol=0, atol=0)
-        np.testing.assert_allclose(compose(e, a).matrix(), a.matrix(), rtol=0, atol=0)
 
 
 class TestGravityYpr:
@@ -373,52 +330,54 @@ class TestIntrinsics:
 class TestProjection:
     K = Intrinsics(fx=600.0, fy=600.0, cx=480.0, cy=270.0, width=960, height=540)
 
+    def project(self, v, **kwargs):
+        """(u, v) of one vector, or None when it does not project."""
+        uv, valid = project_pinhole_many(np.asarray(v, dtype=np.float64)[None], self.K, **kwargs)
+        return (uv[0, 0], uv[0, 1]) if valid[0] else None
+
     def test_worked_example(self):
         # [TRIVIAL] u = 480 + 600*0.2/0.5, v = 270 + 600*(-0.1)/0.5
-        uv = project_pinhole(np.array([0.2, -0.1, 0.5]), self.K)
+        uv = self.project([0.2, -0.1, 0.5])
         assert uv == (720.0, 150.0)
 
     def test_matches_homogeneous_dehomogenization(self):
         rng = np.random.default_rng(31)
-        for _ in range(500):
-            v = rng.uniform(-1.0, 1.0, size=3)
-            v[2] = rng.uniform(0.05, 3.0)
-            uv = project_pinhole(v, self.K)
-            h = self.K.K @ v
-            np.testing.assert_allclose(
-                np.array(uv), h[:2] / h[2], rtol=0, atol=1e-9
-            )
+        vs = rng.uniform(-1.0, 1.0, size=(500, 3))
+        vs[:, 2] = rng.uniform(0.05, 3.0, size=500)
+        uv, valid = project_pinhole_many(vs, self.K)
+        assert valid.all()
+        h = vs @ self.K.K.T
+        np.testing.assert_allclose(uv, h[:, :2] / h[:, 2:], rtol=0, atol=1e-9)
 
     def test_scale_invariance(self):
-        rng = np.random.default_rng(32)
         v = np.array([0.3, 0.2, 1.4])
+        a = np.array(self.project(v))
         for lam in (1e-3, 0.1, 10.0, 1e3):
-            a = np.array(project_pinhole(v, self.K))
-            b = np.array(project_pinhole(lam * v, self.K))
+            b = np.array(self.project(lam * v))
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
 
     def test_small_depth_rejected(self):
-        assert project_pinhole(np.array([0.1, 0.1, 1e-7]), self.K) is None
-        assert project_pinhole(np.array([0.1, 0.1, 0.0]), self.K) is None
-        assert project_pinhole(np.array([0.1, 0.1, -0.5]), self.K) is None
+        assert self.project([0.1, 0.1, 1e-7]) is None
+        assert self.project([0.1, 0.1, 0.0]) is None
+        assert self.project([0.1, 0.1, -0.5]) is None
 
     def test_negative_depth_allowed_when_requested(self):
-        uv = project_pinhole(np.array([0.2, -0.1, -0.5]), self.K, allow_negative=True)
+        uv = self.project([0.2, -0.1, -0.5], allow_negative=True)
         assert uv == (480.0 + 600.0 * 0.2 / -0.5, 270.0 + 600.0 * -0.1 / -0.5)
 
     def test_vectorized_matches_scalar_bitwise(self):
+        # row by row in Python floats: cx + fx * (x / z), kept when z > eps_z
         rng = np.random.default_rng(33)
         vs = rng.uniform(-1.0, 1.0, size=(200, 3))
         vs[::3, 2] = -vs[::3, 2]  # mix of signs, some rejected
         uv, valid = project_pinhole_many(vs, self.K)
-        for i in range(len(vs)):
-            scalar = project_pinhole(vs[i], self.K)
-            if scalar is None:
+        for i, (x, y, z) in enumerate(vs.tolist()):
+            if z <= 1e-6:
                 assert not valid[i]
                 assert np.isnan(uv[i]).all()
             else:
                 assert valid[i]
-                assert (uv[i, 0], uv[i, 1]) == scalar
+                assert (uv[i, 0], uv[i, 1]) == (480.0 + 600.0 * (x / z), 270.0 + 600.0 * (y / z))
 
     def test_vectorized_mirror_mode(self):
         vs = np.array([[0.2, -0.1, 0.5], [0.2, -0.1, -0.5], [0.1, 0.1, 0.0]])

@@ -11,10 +11,6 @@ from ego_focus import (
     Intrinsics,
     MotionStream,
     ScenarioSpec,
-    acceleration_camera,
-    acceleration_world,
-    default_sigma_px,
-    focus_point,
     generate_trajectory,
     modulate_depth,
     render_focus_map,
@@ -25,41 +21,84 @@ from ego_focus.motion import FocusMap, _render_arrays
 K = Intrinsics(fx=500.0, fy=500.0, cx=200.0, cy=150.0, width=400, height=300)
 
 
-def identity_pose(frame_index=0):
-    return CameraPose(frame_index=frame_index, rotation=np.eye(3), translation=np.zeros(3))
-
-
 def point(u, v, mag=1.0, frame=0):
     return FocusPoint(frame_index=frame, u=u, v=v, magnitude=mag, projectable=True)
 
 
+def poses_at(centers, rotation=np.eye(3)):
+    """Poses of frames 0, 1, ... with the given camera centers."""
+    return [CameraPose(i, rotation, -rotation @ np.asarray(c, dtype=np.float64))
+            for i, c in enumerate(centers)]
+
+
+def oracle_samples(poses, k, cfg):
+    """MotionStream's math one frame at a time, in plain Python floats.
+
+    Centers -R^T t are summed left to right, the order of the stream's
+    kernel, so a_world compares bit for bit; a_camera = R @ a_world goes
+    through numpy's matmul and compares within rounding. One row
+    (frame, a_world, a_camera, magnitude, (u, v) or None) per frame
+    from the third on.
+    """
+    c = [np.array([-((r[0][i] * t[0] + r[1][i] * t[1]) + r[2][i] * t[2]) for i in range(3)])
+         for r, t in ((p.rotation.tolist(), p.translation.tolist()) for p in poses)]
+    if cfg.smooth_positions:  # causal moving average of width 3, partial at the head
+        c = c[:1] + [(c[1] + c[0]) / 2.0] + [((c[t] + c[t - 1]) + c[t - 2]) / 3.0
+                                             for t in range(2, len(c))]
+    rows = []
+    for t in range(2, len(c)):
+        a_w = (c[t] - c[t - 1]) - (c[t - 1] - c[t - 2])
+        a_c = poses[t].rotation @ a_w
+        x, y, z = a_c.tolist()
+        ok = (abs(z) if cfg.project_negative == "mirror" else z) > cfg.eps_z
+        uv = (k.cx + k.fx * (x / z), k.cy + k.fy * (y / z)) if ok else None
+        rows.append((poses[t].frame_index, a_w, a_c, math.sqrt(x * x + y * y + z * z), uv))
+    return rows
+
+
+def pushed(poses, k, cfg, chunk=None):
+    """One MotionBlock-like tuple of arrays from pushing poses in chunks."""
+    stream = MotionStream(k, cfg)
+    step = chunk or len(poses)
+    blocks = [stream.push(poses[i:i + step]) for i in range(0, len(poses), step)]
+    return [np.concatenate([getattr(b, key) for b in blocks])
+            for key in ("frames", "a_world", "a_camera", "magnitude", "uv", "projectable")]
+
+
+def check_against_oracle(poses, k, cfg, chunk=None):
+    """a_world bit for bit; a_camera and magnitude within 1e-14 of |a|, uv within 1e-9 px."""
+    frames, a_w, a_c, mag, uv, ok = pushed(poses, k, cfg, chunk)
+    want = oracle_samples(poses, k, cfg)
+    assert frames.tolist() == [row[0] for row in want]
+    assert a_w.tobytes() == np.stack([row[1] for row in want]).tobytes()
+    scale = np.linalg.norm(a_w, axis=1)
+    assert (np.abs(a_c - np.stack([row[2] for row in want])).max(axis=1) <= 1e-14 * scale).all()
+    assert (np.abs(mag - [row[3] for row in want]) <= 1e-14 * scale).all()
+    assert ok.tolist() == [row[4] is not None for row in want]
+    assert np.isnan(uv[~ok]).all()
+    want_uv = np.array([row[4] for row in want if row[4] is not None]).reshape(-1, 2)
+    assert np.abs(uv[ok] - want_uv).max(initial=0.0) <= 1e-9
+    return ok, uv
+
+
 class TestAccelerationWorld:
     def test_constant_velocity_is_zero(self):
-        s = acceleration_world(
-            np.array([2.0, 0.0, 0.0]),
-            np.array([1.0, 0.0, 0.0]),
-            np.array([0.0, 0.0, 0.0]),
-            frame_index=2,
-        )
-        np.testing.assert_array_equal(s.a_world, np.zeros(3))
+        block = MotionStream(K, FocusConfig()).push(poses_at([[0.0] * 3, [1.0, 0, 0], [2.0, 0, 0]]))
+        np.testing.assert_array_equal(block.a_world, np.zeros((1, 3)))
 
     def test_simple_arithmetic(self):
-        s = acceleration_world(
-            np.array([3.0, 0.0, 0.0]),
-            np.array([1.0, 0.0, 0.0]),
-            np.array([0.0, 0.0, 0.0]),
-            frame_index=2,
-        )
-        np.testing.assert_array_equal(s.a_world, np.array([1.0, 0.0, 0.0]))
-        np.testing.assert_array_equal(s.v_cur, np.array([2.0, 0.0, 0.0]))
-        np.testing.assert_array_equal(s.v_prev, np.array([1.0, 0.0, 0.0]))
+        block = MotionStream(K, FocusConfig()).push(poses_at([[0.0] * 3, [1.0, 0, 0], [3.0, 0, 0]]))
+        assert block.frames.tolist() == [2]
+        np.testing.assert_array_equal(block.a_world, [[1.0, 0.0, 0.0]])
 
     def test_displacement_identity_is_bitwise(self):
+        # a_world is (p_t - p_{t-1}) - (p_{t-1} - p_{t-2}) of the centers,
+        # bit for bit, under random rotations
+        from tests.test_geometry import random_pose
+
         rng = np.random.default_rng(12)
-        for _ in range(100):
-            p2, p1, p0 = rng.standard_normal((3, 3))
-            s = acceleration_world(p2, p1, p0, frame_index=5)
-            assert s.a_world.tobytes() == (s.v_cur - s.v_prev).tobytes()
+        poses = [random_pose(rng, frame_index=i) for i in range(100)]
+        check_against_oracle(poses, K, FocusConfig())
 
     def test_circular_arc_matches_closed_form(self):
         # p(t) = (r sin wt, 0, r cos wt): the discrete second difference is
@@ -68,11 +107,11 @@ class TestAccelerationWorld:
         centers = [
             np.array([r * math.sin(w * t), 0.0, r * math.cos(w * t)]) for t in range(3)
         ]
-        s = acceleration_world(centers[2], centers[1], centers[0], frame_index=2)
+        a_w = MotionStream(K, FocusConfig()).push(poses_at(centers)).a_world[0]
         np.testing.assert_allclose(
-            s.a_world, -2.0 * (1.0 - math.cos(w)) * centers[1], rtol=0, atol=1e-15
+            a_w, -2.0 * (1.0 - math.cos(w)) * centers[1], rtol=0, atol=1e-15
         )
-        mag = float(np.linalg.norm(s.a_world))
+        mag = float(np.linalg.norm(a_w))
         assert mag == pytest.approx(2.0 * r * (1.0 - math.cos(w)), rel=1e-12)
         # within 0.5% of the continuous centripetal magnitude r w^2
         assert mag == pytest.approx(r * w * w, rel=5e-3)
@@ -80,92 +119,64 @@ class TestAccelerationWorld:
 
 class TestAccelerationCamera:
     def test_identity_rotation(self):
-        s = acceleration_world(
-            np.array([3.0, 2.0, 4.0]), np.array([1.0, 0.0, 1.0]), np.zeros(3), 2
-        )
-        done = acceleration_camera(s, identity_pose(2))
-        np.testing.assert_array_equal(done.a_camera, s.a_world)
+        block = MotionStream(K, FocusConfig()).push(
+            poses_at([np.zeros(3), [1.0, 0.0, 1.0], [3.0, 2.0, 4.0]]))
+        np.testing.assert_array_equal(block.a_camera, block.a_world)
 
     def test_quarter_turn_about_gravity(self):
         # R_Y(90 deg) sends +x to -z
-        pose = CameraPose(
-            frame_index=0,
-            rotation=rotation_about_gravity(math.pi / 2),
-            translation=np.zeros(3),
-        )
-        from ego_focus.motion import MotionSample
-
-        s = MotionSample(frame_index=0, a_world=np.array([1.0, 0.0, 0.0]))
-        done = acceleration_camera(s, pose)
-        np.testing.assert_allclose(done.a_camera, [0.0, 0.0, -1.0], rtol=0, atol=1e-15)
+        poses = poses_at([np.zeros(3), np.zeros(3), [1.0, 0.0, 0.0]],
+                         rotation_about_gravity(math.pi / 2))
+        block = MotionStream(K, FocusConfig()).push(poses)
+        np.testing.assert_allclose(block.a_camera, [[0.0, 0.0, -1.0]], rtol=0, atol=1e-15)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(19)
         from tests.test_geometry import random_pose
 
-        for i in range(50):
-            pose = random_pose(rng, frame_index=i)
-            from ego_focus.motion import MotionSample
-
-            a_w = rng.standard_normal(3)
-            done = acceleration_camera(MotionSample(i, a_w), pose)
-            assert done.magnitude == pytest.approx(float(np.linalg.norm(a_w)), rel=1e-12)
-
-    def test_frame_mismatch_rejected(self):
-        from ego_focus.motion import MotionSample
-
-        with pytest.raises(ValueError):
-            acceleration_camera(MotionSample(3, np.zeros(3)), identity_pose(4))
+        poses = [random_pose(rng, frame_index=i) for i in range(52)]
+        block = MotionStream(K, FocusConfig()).push(poses)
+        np.testing.assert_allclose(block.magnitude, np.linalg.norm(block.a_world, axis=1),
+                                   rtol=1e-12, atol=0)
 
 
 class TestFocusPoint:
     CFG = FocusConfig()
 
-    def sample(self, a_c):
-        from ego_focus.motion import MotionSample
-
-        a_c = np.asarray(a_c, dtype=np.float64)
-        return MotionSample(
-            frame_index=0,
-            a_world=a_c,
-            a_camera=a_c,
-            magnitude=float(np.linalg.norm(a_c)),
-        )
+    @staticmethod
+    def point(a_c, k=K, cfg=CFG):
+        """The focus point of one sample whose camera-frame acceleration is a_c."""
+        block = MotionStream(k, cfg).push(poses_at([np.zeros(3), np.zeros(3), a_c]))
+        return block.focus_points()[0]
 
     def test_straight_ahead_hits_principal_point(self):
         k = Intrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
-        fp = focus_point(self.sample([0.0, 0.0, 1.0]), k, self.CFG)
+        fp = self.point([0.0, 0.0, 1.0], k)
         assert fp.projectable
         assert (fp.u, fp.v) == (320.0, 240.0)
 
     def test_backward_acceleration_not_projectable(self):
-        fp = focus_point(self.sample([0.0, 0.0, -1.0]), K, self.CFG)
+        fp = self.point([0.0, 0.0, -1.0])
         assert not fp.projectable
         assert fp.u is None and fp.v is None
         assert fp.magnitude == 1.0  # magnitude kept for kernel statistics
 
     def test_worked_example(self):
         k = Intrinsics(fx=600.0, fy=600.0, cx=480.0, cy=270.0, width=960, height=540)
-        fp = focus_point(self.sample([0.2, -0.1, 0.5]), k, self.CFG)
+        fp = self.point([0.2, -0.1, 0.5], k)
         assert (fp.u, fp.v) == (720.0, 150.0)
 
     def test_mirror_mode_projects_through_principal_point(self):
         cfg = FocusConfig(project_negative="mirror")
-        fp = focus_point(self.sample([0.2, -0.1, -0.5]), K, cfg)
+        fp = self.point([0.2, -0.1, -0.5], cfg=cfg)
         assert fp.projectable
         assert fp.u == 200.0 + 500.0 * 0.2 / -0.5
         assert fp.v == 150.0 + 500.0 * -0.1 / -0.5
 
     def test_mirror_mode_still_rejects_tiny_depth(self):
         cfg = FocusConfig(project_negative="mirror")
-        fp = focus_point(self.sample([0.2, -0.1, 1e-9]), K, cfg)
+        fp = self.point([0.2, -0.1, 1e-9], cfg=cfg)
         assert not fp.projectable
-
-    def test_incomplete_sample_rejected(self):
-        from ego_focus.motion import MotionSample
-
-        with pytest.raises(ValueError):
-            focus_point(MotionSample(0, np.ones(3)), K, self.CFG)
 
 
 class TestRenderFocusMap:
@@ -254,7 +265,6 @@ class TestRenderFocusMap:
             fmap.values[0, 0] = 1.0
 
     def test_default_sigma_rule(self):
-        assert default_sigma_px(400) == 16.0
         assert FocusConfig().resolved_sigma(400) == 16.0
         assert FocusConfig(sigma_px=5.0).resolved_sigma(400) == 5.0
 
@@ -427,22 +437,8 @@ class TestMotionStream:
         assert block.frames.tolist() == [2]
 
     def test_matches_scalar_path_bitwise(self):
-        poses = arc_poses(60)
-        stream = MotionStream(WIDE, FocusConfig())
-        block = stream.push(poses)
-        assert block.frames.tolist() == list(range(2, 60))
-        centers = [p.center for p in poses]
-        for i, t in enumerate(block.frames):
-            s = acceleration_world(centers[t], centers[t - 1], centers[t - 2], int(t))
-            s = acceleration_camera(s, poses[t])
-            assert block.a_world[i].tobytes() == s.a_world.tobytes()
-            assert block.a_camera[i].tobytes() == s.a_camera.tobytes()
-            assert block.magnitude[i] == s.magnitude
-            fp = focus_point(s, WIDE, FocusConfig())
-            if fp.projectable:
-                assert (block.uv[i, 0], block.uv[i, 1]) == (fp.u, fp.v)
-            else:
-                assert not block.projectable[i]
+        # the per-frame oracle is the scalar path
+        check_against_oracle(arc_poses(60), WIDE, FocusConfig())
 
     def test_chunking_is_bit_invariant(self):
         poses = arc_poses(200)
@@ -479,6 +475,51 @@ class TestMotionStream:
         poses = arc_poses(60)
         block = MotionStream(WIDE, FocusConfig(smooth_positions=True)).push(poses)
         assert bool(block.projectable.all())
+
+
+class TestStreamAgainstOracle:
+    """Every mode of MotionStream, whole and chunked, against oracle_samples."""
+
+    @pytest.mark.parametrize("negative", ["skip", "mirror"])
+    @pytest.mark.parametrize("smooth", [False, True])
+    def test_noisy_head_yaw(self, negative, smooth):
+        spec = ScenarioSpec(kind="head_yaw_divergence", frames=150, seed=4,
+                            bob_amplitude=0.002, jitter_amplitude_rad=0.003)
+        poses, _ = generate_trajectory(spec)
+        cfg = FocusConfig(project_negative=negative, smooth_positions=smooth)
+        for chunk in (None, 1, 7):
+            ok, _ = check_against_oracle(poses, WIDE, cfg, chunk)
+            assert ok.any()
+        if negative == "skip":
+            assert not ok.all()
+
+    @pytest.mark.parametrize("negative", ["skip", "mirror"])
+    def test_depths_about_eps_z(self, negative):
+        # camera-frame depths of a few eps_z either side of zero, some
+        # of them inside the cut-off band
+        rng = np.random.default_rng(3)
+        accelerations = rng.standard_normal((300, 3)) * [1.0, 1.0, 3e-6]
+        poses = poses_at(np.cumsum(np.cumsum(accelerations, axis=0), axis=0))
+        cfg = FocusConfig(project_negative=negative)
+        ok, _ = check_against_oracle(poses, WIDE, cfg, chunk=11)
+        depth = MotionStream(WIDE, cfg).push(poses).a_camera[:, 2]
+        near = np.abs(depth) <= cfg.eps_z
+        assert near.any() and not ok[near].any()
+        assert ok[depth > cfg.eps_z].all()
+        behind = ok[depth < -cfg.eps_z]
+        assert behind.all() if negative == "mirror" else not behind.any()
+
+    @pytest.mark.parametrize("negative", ["skip", "mirror"])
+    def test_pure_backward_acceleration(self, negative):
+        # braking straight ahead: a_camera is (0, 0, -decel) until the stop
+        spec = ScenarioSpec(kind="brake", frames=30, speed=0.2, decel=0.01)
+        poses, _ = generate_trajectory(spec)
+        ok, uv = check_against_oracle(poses, K, FocusConfig(project_negative=negative))
+        if negative == "skip":
+            assert not ok.any()
+        else:  # frames 2 to 16 are still braking
+            assert ok[:15].all()
+            np.testing.assert_array_equal(uv[:15], [[K.cx, K.cy]] * 15)
 
 
 class TestMotionInvariants:

@@ -307,6 +307,19 @@ class TestOutputWrites:
             run_stream(iter(arc_poses(20)), WIDE, RunConfig(), str(tmp_path / "o"),
                        depth_dir=str(depth_dir))
 
+    def test_files_follow_the_umask(self, tmp_path):
+        out = tmp_path / "o"
+        old = os.umask(0o022)
+        try:
+            run_stream(iter(arc_poses(30)), WIDE, RunConfig(emit_float_maps=True), str(out),
+                       residuals_path=str(out / "residuals.csv"))
+        finally:
+            os.umask(old)
+        modes = {name: os.stat(out / name).st_mode & 0o777 for name in os.listdir(out)}
+        assert {"focus_points.csv", "residuals.csv", "focus_000002.pgm",
+                "focus_000002.mfm"} <= set(modes)
+        assert set(modes.values()) == {0o644}
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_failed_run_leaves_no_partial_csv(self, tmp_path, threads):
         # depth maps run out at frame 40, so the run fails mid-stream

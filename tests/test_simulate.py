@@ -11,11 +11,10 @@ from ego_focus import (
     generate_trajectory,
     iter_trajectory,
     oracle_focus_point,
-    perturb_poses,
 )
 from ego_focus.errors import PlanError
 from ego_focus.geometry import rotation_angle, rotation_drift
-from ego_focus.simulate import canonical_scenario, iter_poses, turn_direction
+from ego_focus.simulate import canonical_scenario
 
 K = Intrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 WIDE = Intrinsics(fx=10.0, fy=10.0, cx=320.0, cy=240.0, width=640, height=480)
@@ -89,10 +88,15 @@ class TestCircularArc:
             assert p.rotation[1, 1] > 0.9
 
     def test_turn_direction_sign(self):
-        assert turn_direction(ScenarioSpec(kind="arc", frames=10, omega=0.05)) == 1.0
-        assert turn_direction(ScenarioSpec(kind="arc", frames=10, omega=-0.05)) == -1.0
-        with pytest.raises(ConfigError):
-            turn_direction(ScenarioSpec(kind="brake", frames=10))
+        # positive omega curves toward camera +X: the discrete focus points
+        # lie right of the principal point, and left for negative omega
+        from ego_focus import MotionStream
+
+        for omega, side in ((0.05, 1.0), (-0.05, -1.0)):
+            poses, _ = generate_trajectory(ScenarioSpec(kind="arc", frames=50, omega=omega))
+            block = MotionStream(WIDE, FocusConfig()).push(poses)
+            assert block.projectable.all()
+            assert ((block.uv[:, 0] - WIDE.cx) * side > 0.0).all()
 
 
 class TestBrake:
@@ -222,12 +226,6 @@ class TestDeterminismAndChunking:
                 assert a.translation.tobytes() == b.translation.tobytes()
             assert np.concatenate(got_pos).tobytes() == whole_truth.position.tobytes()
 
-    def test_iter_poses_flattens(self):
-        spec = ScenarioSpec(kind="arc", frames=20)
-        flat = list(iter_poses(spec, chunk_size=6))
-        whole, _ = generate_trajectory(spec)
-        assert [p.frame_index for p in flat] == [p.frame_index for p in whole]
-
     def test_bad_chunk_size_rejected(self):
         spec = ScenarioSpec(kind="arc", frames=20)
         with pytest.raises(ConfigError):
@@ -255,33 +253,9 @@ class TestNoise:
         spec = ScenarioSpec(kind="constant_velocity", frames=50, bob_amplitude=0.01,
                             noise_kind="white", seed=11)
         whole, _ = generate_trajectory(spec)
-        chunked = list(iter_poses(spec, chunk_size=7))
+        chunked = [p for poses, _ in iter_trajectory(spec, chunk_size=7) for p in poses]
         for a, b in zip(chunked, whole):
             assert a.translation.tobytes() == b.translation.tobytes()
-
-
-class TestPerturbPoses:
-    def test_zero_amplitude_returns_same_objects(self):
-        poses, _ = generate_trajectory(ScenarioSpec(kind="arc", frames=10))
-        out = perturb_poses(poses, amplitude=0.0)
-        assert all(a is b for a, b in zip(out, poses))
-
-    def test_center_noise_bounded(self):
-        poses, truth = generate_trajectory(ScenarioSpec(kind="arc", frames=300))
-        out = perturb_poses(poses, amplitude=0.05, seed=2)
-        disp = np.stack([a.center - b.center for a, b in zip(out, poses)])
-        norms = np.linalg.norm(disp, axis=1)
-        assert norms.max() <= 0.05
-        assert norms.max() > 0.0
-
-    def test_rotation_jitter_keeps_centers(self):
-        poses, _ = generate_trajectory(ScenarioSpec(kind="arc", frames=50))
-        out = perturb_poses(poses, amplitude=0.0, rotation_jitter_rad=0.02, seed=2)
-        angles = [rotation_angle(a.rotation, b.rotation) for a, b in zip(out, poses)]
-        assert max(angles) <= 0.02 + 1e-12
-        assert max(angles) > 0.0
-        for a, b in zip(out, poses):
-            np.testing.assert_allclose(a.center, b.center, rtol=0, atol=1e-12)
 
 
 class TestOracleAgainstDiscretePipeline:
@@ -289,7 +263,6 @@ class TestOracleAgainstDiscretePipeline:
         for omega, side in ((0.05, 1.0), (-0.05, -1.0)):
             spec = ScenarioSpec(kind="arc", frames=100, radius=2.0, omega=omega)
             poses, truth = generate_trajectory(spec)
-            assert turn_direction(spec) == side
             for t in range(1, 100):
                 uv = oracle_focus_point(truth.acceleration[t - 1], poses[t], WIDE)
                 assert uv is not None

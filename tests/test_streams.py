@@ -72,6 +72,13 @@ class TestLoadPoseStream:
         with pytest.raises(StreamFormatError, match="line 2"):
             list(load_pose_stream(stream_of(IDENTITY_LINE, "{not json")))
 
+    def test_non_utf8_line_named(self, tmp_path):
+        path = tmp_path / "poses.jsonl"
+        line2 = IDENTITY_LINE.replace('"frame":0', '"frame":1')
+        path.write_bytes(f"{IDENTITY_LINE}\n{line2}\n".encode() + b'{"frame":\xff}\n')
+        with pytest.raises(StreamFormatError, match="line 3: not UTF-8"):
+            list(load_pose_stream(path))
+
     def test_missing_key_reported(self):
         with pytest.raises(StreamFormatError, match="T_wc"):
             list(load_pose_stream(stream_of('{"frame":0}')))
