@@ -109,14 +109,6 @@ def _checked_poses(first_frame: int, rotations: np.ndarray, translations: np.nda
     raise InvalidPoseError(f"{what}: non-finite translation")
 
 
-def _checked_rotation(rotation: np.ndarray, what: str) -> np.ndarray:
-    """The drift policy for one matrix; returns a matrix safe to store."""
-    r = np.asarray(rotation, dtype=np.float64)
-    if r.shape != (3, 3):
-        raise ValueError(f"{what}: rotation must be 3x3, got {r.shape}")
-    return _checked_poses(0, r[None], np.zeros((1, 3)), lambda i: what)[0][0]
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.float64, copy=True)
     out.flags.writeable = False
@@ -160,7 +152,8 @@ class CameraPose:
         m = np.asarray(matrix, dtype=np.float64)
         if m.shape != (4, 4):
             raise ValueError(f"expected 4x4 matrix, got {m.shape}")
-        if np.abs(m[3] - np.array([0.0, 0.0, 0.0, 1.0])).max() > row_tol:
+        # Written as "not <=" so that a NaN entry fails the check too.
+        if not np.abs(m[3] - np.array([0.0, 0.0, 0.0, 1.0])).max() <= row_tol:
             raise InvalidPoseError(
                 f"frame {frame_index}: last row {m[3].tolist()} is not (0, 0, 0, 1)"
             )
@@ -313,35 +306,14 @@ def batch_centers(rotations: np.ndarray, translations: np.ndarray) -> np.ndarray
 
 @dataclass(frozen=True, slots=True)
 class RigidTransform:
-    """A rigid map on world points: ``y = R @ x + t``."""
+    """A rigid map on world points: ``y = R @ x + t``.
+
+    A plain value: the package builds it from rotations it made itself
+    (a yaw about gravity, a gravity yaw/pitch/roll), so it checks nothing.
+    """
 
     rotation: np.ndarray
     translation: np.ndarray
-
-    def __post_init__(self):
-        r = _checked_rotation(self.rotation, "rigid transform")
-        t = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        object.__setattr__(self, "rotation", _frozen(r))
-        object.__setattr__(self, "translation", _frozen(t))
-
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(np.eye(3), np.zeros(3))
-
-    @classmethod
-    def about_gravity(cls, yaw: float, translation: np.ndarray) -> "RigidTransform":
-        """Rotation by ``yaw`` about gravity, then ``translation``.
-
-        The rotation is built here from cos and sin, orthonormal to
-        rounding, so it skips the drift check that would keep it as is.
-        """
-        rotation = rotation_about_gravity(yaw)
-        rotation.flags.writeable = False
-        self = object.__new__(cls)
-        object.__setattr__(self, "rotation", rotation)
-        object.__setattr__(self, "translation",
-                           _frozen(np.asarray(translation, dtype=np.float64).reshape(3)))
-        return self
 
 
 @dataclass(frozen=True, slots=True)
@@ -391,7 +363,11 @@ def decompose_gravity_ypr(rotation: np.ndarray) -> GravityYpr:
     DegenerateOrientationError when |pitch| is within GIMBAL_TOL of
     pi/2; the error carries the yaw under the roll = 0 convention.
     """
-    return _gravity_ypr(_checked_rotation(rotation, "decompose_gravity_ypr"))
+    r = np.asarray(rotation, dtype=np.float64)
+    if r.shape != (3, 3):
+        raise ValueError(f"decompose_gravity_ypr: rotation must be 3x3, got {r.shape}")
+    r = _checked_poses(0, r[None], np.zeros((1, 3)), lambda i: "decompose_gravity_ypr")[0][0]
+    return _gravity_ypr(r)
 
 
 def _gravity_ypr(m: np.ndarray) -> GravityYpr:

@@ -249,26 +249,8 @@ def run_stream(poses: Iterable[Union[CameraPose, PoseBatch]], intrinsics: Intrin
     The stream may hand over single poses or PoseBatch runs (see
     iter_windows).
     """
-    counter = _CountingIterator(poses)
-    batches = iter_windows(counter, cfg.window_size, cfg.overlap)
-    summary = run_stream_batches(batches, intrinsics, cfg, out_dir,
-                                 residuals_path=residuals_path, depth_dir=depth_dir)
-    summary.frames_in = counter.count
-    return summary
-
-
-class _CountingIterator:
-    def __init__(self, inner: Iterable):
-        self._inner = iter(inner)
-        self.count = 0
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        item = next(self._inner)
-        self.count += len(item) if isinstance(item, PoseBatch) else 1
-        return item
+    return run_stream_batches(iter_windows(poses, cfg.window_size, cfg.overlap), intrinsics,
+                              cfg, out_dir, residuals_path=residuals_path, depth_dir=depth_dir)
 
 
 def run_stream_batches(batches: Iterable[Sequence[CameraPose]], intrinsics: Intrinsics,
@@ -365,7 +347,8 @@ def run_stream_batches(batches: Iterable[Sequence[CameraPose]], intrinsics: Intr
         while pending:
             _finish(pending.popleft().result())
 
-    summary.frames_in = summary.frames_in or summary.frames_emitted
+    # A completed run emits every frame it was given exactly once.
+    summary.frames_in = summary.frames_emitted
     summary.wall_seconds = time.perf_counter() - t_start
     if summary.wall_seconds > 0:
         summary.poses_per_second = summary.frames_emitted / summary.wall_seconds

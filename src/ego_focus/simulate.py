@@ -336,7 +336,7 @@ def perturb_batches(batches: Sequence[Sequence[CameraPose]],
         trans = rng.uniform(-translation_range, translation_range, size=3)
         if idx == 0 and not disturb_first:
             # untouched, not merely composed with identity: same batch out
-            disturbances.append(RigidTransform.identity())
+            disturbances.append(RigidTransform(np.eye(3), np.zeros(3)))
             out_batches.append(batch)
             continue
         if pitch == 0.0 and roll == 0.0:

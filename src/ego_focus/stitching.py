@@ -136,29 +136,19 @@ class StitchState:
     _warned_no_overlap: bool = False
 
 
-def anchor_correction(prev_global_anchor: CameraPose,
-                      cur_local_anchor: CameraPose) -> RigidTransform:
+def anchor_correction(frame: int, prev_rotation: np.ndarray, prev_center: np.ndarray,
+                      cur_rotation: np.ndarray, cur_center: np.ndarray) -> RigidTransform:
     """Yaw + translation map from the new batch's frame to the global frame.
 
-    Both poses must describe the same physical frame. Let S_full be the
-    full rigid local-to-global map implied by the anchor pair; the
-    returned correction keeps only S_full's yaw (pitch and roll stay
-    locked to each batch's own gravity estimate) and picks the
-    translation that maps the local anchor center exactly onto the
-    previously emitted one.
+    Both sides describe the same physical frame (``frame``, named in the
+    warning for a degenerate correction): the previously emitted pose
+    (``prev_*``) and the new batch's local one (``cur_*``), each as its
+    rotation and camera center. Let S_full be the full rigid
+    local-to-global map implied by the anchor pair; the returned
+    correction keeps only S_full's yaw (pitch and roll stay locked to
+    each batch's own gravity estimate) and picks the translation that
+    maps the local anchor center exactly onto the previously emitted one.
     """
-    if prev_global_anchor.frame_index != cur_local_anchor.frame_index:
-        raise PlanError(
-            f"anchor frames disagree: {prev_global_anchor.frame_index} vs "
-            f"{cur_local_anchor.frame_index}"
-        )
-    return _anchor_correction(cur_local_anchor.frame_index,
-                              prev_global_anchor.rotation, prev_global_anchor.center,
-                              cur_local_anchor.rotation, cur_local_anchor.center)
-
-
-def _anchor_correction(frame: int, prev_rotation: np.ndarray, prev_center: np.ndarray,
-                       cur_rotation: np.ndarray, cur_center: np.ndarray) -> RigidTransform:
     s_full_rotation = prev_rotation.T @ cur_rotation
     # Both factors passed the drift policy, so the product is finite with
     # det > 0: of decompose_gravity_ypr's check only the repair can apply.
@@ -174,7 +164,7 @@ def _anchor_correction(frame: int, prev_rotation: np.ndarray, prev_center: np.nd
         )
         yaw = err.yaw
     r_yaw = rotation_about_gravity(yaw)
-    return RigidTransform.about_gravity(yaw, prev_center - r_yaw @ cur_center)
+    return RigidTransform(r_yaw, prev_center - r_yaw @ cur_center)
 
 
 def _apply_correction(batch: PoseBatch, correction: RigidTransform,
@@ -190,29 +180,17 @@ def _apply_correction(batch: PoseBatch, correction: RigidTransform,
     return PoseBatch._wrap(batch.first_frame, r_glob, t_glob)
 
 
-def overlap_residual(prev_emitted: Sequence[CameraPose],
-                     corrected_batch: Sequence[CameraPose],
-                     boundary_index: int = 0) -> BoundaryResidual:
+def overlap_residual(boundary_index: int, first_frame: int,
+                     prev_rotations: np.ndarray, prev_centers: np.ndarray,
+                     cur_rotations: np.ndarray, cur_centers: np.ndarray) -> BoundaryResidual:
     """Residuals between previously emitted poses and the corrected batch.
 
-    Both sequences must cover the same frames in the same order; every
-    shared frame contributes one row.
+    Both sides cover the same frames, from ``first_frame`` on, as
+    rotations (n, 3, 3) and camera centers (n, 3); every shared frame
+    contributes one row.
     """
-    prev = PoseBatch.from_poses(prev_emitted)
-    cur = PoseBatch.from_poses(corrected_batch)
-    if len(prev) != len(cur):
-        raise PlanError(f"overlap length mismatch: {len(prev)} vs {len(cur)}")
-    if len(prev) and prev.first_frame != cur.first_frame:
-        raise PlanError(
-            f"overlap frames disagree at position 0: {prev.first_frame} vs {cur.first_frame}"
-        )
-    return _residual(boundary_index, prev.first_frame, prev.rotations, prev.centers,
-                     cur.rotations, cur.centers)
-
-
-def _residual(boundary_index: int, first_frame: int,
-              prev_rotations: np.ndarray, prev_centers: np.ndarray,
-              cur_rotations: np.ndarray, cur_centers: np.ndarray) -> BoundaryResidual:
+    if prev_centers.shape != cur_centers.shape:
+        raise PlanError(f"overlap length mismatch: {len(prev_centers)} vs {len(cur_centers)}")
     # Matrix products per row, as np.linalg.norm and rotation_angle take
     # them one frame at a time, so the values match those bit for bit.
     diff = prev_centers - cur_centers
@@ -299,14 +277,14 @@ def stitch_step(state: StitchState, batch: Sequence[CameraPose], plan: WindowPla
         tail = state.tail
         tail_centers = batch_centers(tail.rotations, tail.translations)
         local_centers = batch_centers(batch.rotations[:overlap], batch.translations[:overlap])
-        correction = _anchor_correction(batch.first_frame + a, tail.rotations[a],
-                                        tail_centers[a], batch.rotations[a], local_centers[a])
+        correction = anchor_correction(batch.first_frame + a, tail.rotations[a],
+                                       tail_centers[a], batch.rotations[a], local_centers[a])
         scale = _estimate_scale(tail_centers, local_centers) if scale_correction else 1.0
         corrected = _apply_correction(batch, correction, scale)
         shared_rotations = corrected.rotations[:overlap]
-        residual = _residual(state.window_count - 1, tail.first_frame,
-                             tail.rotations, tail_centers, shared_rotations,
-                             batch_centers(shared_rotations, corrected.translations[:overlap]))
+        residual = overlap_residual(
+            state.window_count - 1, tail.first_frame, tail.rotations, tail_centers,
+            shared_rotations, batch_centers(shared_rotations, corrected.translations[:overlap]))
         state.boundary_log.append(
             BoundaryEvent(
                 boundary_index=state.window_count - 1,

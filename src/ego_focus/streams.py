@@ -12,9 +12,9 @@ lossless for float64.
 Rendered maps go out as binary PGM (P5, maxval 255, pixel =
 round(255 * M)) and optionally as raw float32 sidecars with a 16-byte
 header: 8-byte magic, then width and height as little-endian uint32.
-Focus maps use magic "MFMAP\\0\\0\\0", depth maps "MFDEP\\0\\0\\0". All
-file writes go through a temp-file + rename so a killed run leaves
-only complete files.
+Focus maps use magic "MFMAP\\0\\0\\0", depth maps "MFDEP\\0\\0\\0". Every
+file written to a path goes through a temp file + rename, so a killed
+run leaves only complete files.
 """
 
 from __future__ import annotations
@@ -91,7 +91,8 @@ def _parse_record(line: str, line_no: int) -> PoseStreamRecord:
             or not all(_is_number(x) for x in flat)):
         raise StreamFormatError(f"line {line_no}: T_wc must be a list of 16 numbers")
     matrix = np.array(flat, dtype=np.float64).reshape(4, 4)
-    if np.abs(matrix[3] - np.array([0.0, 0.0, 0.0, 1.0])).max() > _POSE_ROW_TOL:
+    # Written as "not <=" so that a NaN entry fails the check too.
+    if not np.abs(matrix[3] - np.array([0.0, 0.0, 0.0, 1.0])).max() <= _POSE_ROW_TOL:
         raise StreamFormatError(
             f"line {line_no}: last row of T_wc is {matrix[3].tolist()}, expected (0, 0, 0, 1)"
         )
@@ -109,18 +110,52 @@ def _parse_record(line: str, line_no: int) -> PoseStreamRecord:
 
 
 @contextlib.contextmanager
+def _replacing(path: Union[str, os.PathLike], mode: str) -> Iterator[IO]:
+    """A new file that replaces ``path`` when the block ends cleanly.
+
+    The file gets a random ``.tmp-*`` name in the directory of ``path``
+    that no other file had, and mode 0666 less the umask, the mode
+    open() would give ``path`` itself. It is renamed onto ``path`` when
+    the block ends without an exception and removed on any exception,
+    so readers never see a partial file. ``mode`` is "w" (UTF-8 text)
+    or "wb".
+    """
+    directory = os.path.dirname(os.fspath(path)) or "."
+    while True:
+        tmp = os.path.join(directory, ".tmp-" + os.urandom(8).hex())
+        try:
+            fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+            break
+        except FileExistsError:
+            continue
+    try:
+        with os.fdopen(fd, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+@contextlib.contextmanager
 def _text_file(target: Union[str, os.PathLike, IO[str]], mode: str,
                dash: Optional[IO[str]] = None) -> Iterator[IO[str]]:
     """An open UTF-8 text file for a path, or the file given.
 
     With ``dash`` set, the path '-' stands for it (stdin or stdout).
-    A path is opened here and closed on leaving; any other file is
-    left open.
+    A path is opened here and closed on leaving; written ("w"), it is
+    replaced through _replacing, unless it names something other than
+    a regular file (a device such as /dev/null, a FIFO), which is
+    written in place. Any other file is left open.
     """
     if not isinstance(target, (str, os.PathLike)):
         yield target
     elif dash is not None and os.fspath(target) == "-":
         yield dash
+    elif mode == "w" and (not os.path.exists(target) or os.path.isfile(target)):
+        with _replacing(target, mode) as fh:
+            yield fh
     else:
         with open(target, mode, encoding="utf-8") as fh:
             yield fh
@@ -233,33 +268,10 @@ def write_intrinsics(k: Intrinsics, target: Union[str, os.PathLike, IO[str]]) ->
         fh.write("\n")
 
 
-def _temp_beside(path: Union[str, os.PathLike]) -> tuple[int, str]:
-    """Create a new, empty ``.tmp-*`` file in the directory of ``path``.
-
-    Returns its write-only descriptor and its name. The file is created
-    with mode 0666 less the umask, the mode open() would give ``path``
-    itself, so renaming it onto ``path`` leaves the usual permissions.
-    """
-    directory = os.path.dirname(os.fspath(path)) or "."
-    while True:
-        tmp = os.path.join(directory, ".tmp-" + os.urandom(8).hex())
-        try:
-            return os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666), tmp
-        except FileExistsError:
-            continue
-
-
 def atomic_write_bytes(path: Union[str, os.PathLike], data: bytes) -> None:
     """Write via temp file + rename; readers never see partial files."""
-    fd, tmp = _temp_beside(path)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+    with _replacing(path, "wb") as fh:
+        fh.write(data)
 
 
 def pgm_bytes(values: np.ndarray, scratch: Optional[np.ndarray] = None) -> bytes:
@@ -313,9 +325,13 @@ def _read_raw_map(path: Union[str, os.PathLike], magic: bytes) -> np.ndarray:
         if len(header) != 16 or header[:8] != magic:
             raise StreamFormatError(f"{path}: bad magic, expected {magic!r}")
         w, h = struct.unpack("<II", header[8:])
+        # Checked before the read, so a header declaring a huge map is
+        # an error, not an attempt to read that many bytes.
+        size, expected = os.fstat(fh.fileno()).st_size, 16 + 4 * w * h
+        if size != expected:
+            raise StreamFormatError(f"{path}: {size} bytes, but a {w}x{h} map takes "
+                                    f"{expected} (truncated payload or wrong header)")
         raw = fh.read(4 * w * h)
-    if len(raw) != 4 * w * h:
-        raise StreamFormatError(f"{path}: truncated payload for {w}x{h}")
     return np.frombuffer(raw, dtype="<f4").reshape(h, w)
 
 
@@ -350,53 +366,27 @@ def depth_input_name(frame: int) -> str:
 class _CsvWriter:
     """Streams CSV rows under a header to an open file or to a path.
 
-    A path gets its rows through a temp file in the same directory that
-    is renamed onto the path by close(); discard() drops it instead, so
-    a failed run leaves no partial file. As a context manager the writer
-    closes on success and discards on an exception.
+    A path gets its rows through a temp file that close() renames onto
+    it (see _text_file). As a context manager the writer closes on
+    success and drops the temp file on an exception, so a failed run
+    leaves no partial file.
     """
 
     HEADER = ""
 
     def __init__(self, target: Union[str, os.PathLike, IO[str]]):
-        self._path = self._tmp = None
-        if isinstance(target, (str, os.PathLike)):
-            self._path = os.fspath(target)
-            fd, self._tmp = _temp_beside(self._path)
-            self._fh: IO[str] = os.fdopen(fd, "w", encoding="utf-8")
-        else:
-            self._fh = target
+        self._stack = contextlib.ExitStack()
+        self._fh: IO[str] = self._stack.enter_context(_text_file(target, "w"))
         self._fh.write(self.HEADER + "\n")
 
     def close(self) -> None:
-        if self._tmp is None:
-            return
-        try:
-            self._fh.close()
-            os.replace(self._tmp, self._path)
-        except BaseException:
-            self.discard()
-            raise
-        self._tmp = None
-
-    def discard(self) -> None:
-        if self._tmp is None:
-            return
-        tmp, self._tmp = self._tmp, None
-        # The rows are being thrown away, so a failing flush is no news.
-        with contextlib.suppress(OSError):
-            self._fh.close()
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
+        self._stack.close()
 
     def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-        else:
-            self.discard()
+        self._stack.__exit__(exc_type, exc, tb)
 
 
 class FocusPointCsvWriter(_CsvWriter):

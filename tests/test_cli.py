@@ -43,6 +43,29 @@ class TestSim:
         assert capsys.readouterr().err.startswith("error:")
 
 
+    def test_interrupted_sim_leaves_no_file(self, tmp_path, monkeypatch):
+        import ego_focus.cli
+
+        real = ego_focus.cli.iter_trajectory
+
+        def interrupted(spec):
+            yield from real(spec)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ego_focus.cli, "iter_trajectory", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            sim(tmp_path)
+        assert os.listdir(tmp_path) == []
+
+    def test_new_stream_follows_the_umask(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            out = sim(tmp_path)
+        finally:
+            os.umask(old)
+        assert os.stat(out).st_mode & 0o777 == 0o644
+
+
 class TestRun:
     def test_sim_then_run(self, tmp_path, capsys):
         poses = sim(tmp_path)
@@ -130,6 +153,40 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "depth_000002.mfd" in err and "64x48" in err and "640x480" in err
+
+
+    def test_nan_last_row_fails_cleanly(self, tmp_path, capsys):
+        k_path = tmp_path / "k.json"
+        write_intrinsics(WIDE, k_path)
+        poses = tmp_path / "poses.jsonl"
+        poses.write_text('{"frame":0,"T_wc":[1,0,0,0,0,1,0,0,0,0,1,0,NaN,NaN,NaN,NaN]}\n')
+        rc = main([
+            "run", "--poses", str(poses), "--intrinsics", str(k_path),
+            "--out-dir", str(tmp_path / "o"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "last row" in err
+
+    def test_oversized_depth_header_fails_cleanly(self, tmp_path, capsys):
+        poses = sim(tmp_path)
+        k_path = tmp_path / "k.json"
+        write_intrinsics(WIDE, k_path)
+        depth_dir = tmp_path / "depth"
+        depth_dir.mkdir()
+        for frame in range(3):  # frame 2 is the first one rendered
+            path = depth_dir / f"depth_{frame:06d}.mfd"
+            write_depth_map(np.ones((1, 1)), path)
+            with open(path, "r+b") as fh:
+                fh.seek(8)
+                fh.write(b"\xff" * 8)  # claims 0xFFFFFFFF x 0xFFFFFFFF pixels
+        rc = main([
+            "run", "--poses", str(poses), "--intrinsics", str(k_path),
+            "--out-dir", str(tmp_path / "o"), "--depth-dir", str(depth_dir),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "depth_000002.mfd" in err
 
 
 class TestBench:

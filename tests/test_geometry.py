@@ -91,6 +91,12 @@ class TestCameraPose:
         with pytest.raises(InvalidPoseError):
             CameraPose.from_matrix(0, m)
 
+    def test_from_matrix_rejects_nan_last_row(self):
+        m = np.eye(4)
+        m[3] = np.nan
+        with pytest.raises(InvalidPoseError, match="last row"):
+            CameraPose.from_matrix(0, m)
+
 
 def drifted(rotation, size, seed):
     """rotation plus a symmetric perturbation whose drift is about `size`."""

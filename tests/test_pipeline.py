@@ -1,8 +1,10 @@
 import os
+import tempfile
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ego_focus import (
     ConfigError,
@@ -85,6 +87,48 @@ class TestIterWindows:
             overlap = int(rng.integers(0, size))
             got = frame_ranges(list(iter_windows(iter(poses[:total]), size, overlap)))
             assert got == plan_windows(total, size, overlap).windows()
+
+
+POOL = arc_poses(48)
+TINY = Intrinsics(fx=4.0, fy=4.0, cx=4.0, cy=3.0, width=8, height=6)
+
+
+@st.composite
+def chunked_streams(draw):
+    """(n, L, O, items): the first n frames of POOL as singles, batches or a mix."""
+    n = draw(st.integers(0, len(POOL)))
+    size = draw(st.integers(1, 20))
+    overlap = draw(st.integers(0, size - 1))
+    form = draw(st.sampled_from(["singles", "batches", "mixed"]))
+    items, start = [], 0
+    while start < n:
+        stop = min(n, start + draw(st.integers(1, 12)))
+        as_batch = form == "batches" or (form == "mixed" and draw(st.booleans()))
+        items.extend([POOL[start:stop]] if as_batch else list(POOL[start:stop]))
+        start = stop
+    return n, size, overlap, items
+
+
+class TestIterWindowsProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(chunked_streams())
+    def test_windows_are_the_plan_slices(self, case):
+        n, size, overlap, items = case
+        got = list(iter_windows(iter(items), size, overlap))
+        want = plan_windows(n, size, overlap).windows() if n else []
+        assert [(w.first_frame, w.end_frame) for w in got] == want
+        for window, (start, stop) in zip(got, want):
+            assert window == POOL[start:stop]
+
+    @settings(max_examples=25, deadline=None)
+    @given(chunked_streams())
+    def test_run_counts_every_frame_once(self, case):
+        n, size, overlap, items = case
+        cfg = RunConfig(window_size=size, overlap=overlap, threads=1)
+        with tempfile.TemporaryDirectory() as out_dir:
+            summary = run_stream(iter(items), TINY, cfg, out_dir)
+        assert summary.frames_in == n
+        assert summary.maps_written == max(0, n - 2)
 
 
 class TestRunConfig:

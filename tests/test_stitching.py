@@ -7,7 +7,6 @@ import pytest
 from ego_focus import (
     CameraPose,
     PlanError,
-    RigidTransform,
     ScenarioSpec,
     StitchState,
     WindowPlan,
@@ -120,7 +119,7 @@ class TestAnchorCorrection:
         d_rot = rotation_about_gravity(math.pi / 2)
         d_t = np.array([5.0, 0.0, 0.0])
         local = disturb_world(truth, d_rot, d_t)
-        corr = anchor_correction(truth, local)
+        corr = anchor_correction(4, truth.rotation, truth.center, local.rotation, local.center)
         np.testing.assert_allclose(corr.rotation, d_rot, rtol=0, atol=1e-12)
         np.testing.assert_allclose(corr.translation, d_t, rtol=0, atol=1e-12)
 
@@ -130,7 +129,7 @@ class TestAnchorCorrection:
         d_rot = compose_gravity_ypr(0.3, 0.1, 0.0)  # yaw + pitch
         d_t = np.array([0.4, 0.0, -1.1])
         local = disturb_world(truth, d_rot, d_t)
-        corr = anchor_correction(truth, local)
+        corr = anchor_correction(4, truth.rotation, truth.center, local.rotation, local.center)
         from ego_focus import decompose_gravity_ypr
 
         ypr = decompose_gravity_ypr(corr.rotation)
@@ -141,15 +140,21 @@ class TestAnchorCorrection:
         np.testing.assert_allclose(corrected_center, truth.center, rtol=0, atol=1e-12)
 
     def test_frame_mismatch_rejected(self):
-        poses = arc_poses(4)
+        # stitch_step pairs each anchor with the emitted pose of the same
+        # frame; a window one frame late has a different frame there.
+        poses = arc_poses(12)
+        plan = WindowPlan(window_size=6, overlap=2)
+        state, _ = stitch_step(StitchState(), poses[:6], plan)
         with pytest.raises(PlanError):
-            anchor_correction(poses[1], poses[2])
+            stitch_step(state, poses[5:11], plan)
+        assert state.boundary_log == []
 
 
 class TestOverlapResidual:
     def test_identical_sequences_zero(self):
         poses = arc_poses(6)
-        res = overlap_residual(poses, poses, boundary_index=3)
+        r, c = poses.rotations, poses.centers
+        res = overlap_residual(3, 0, r, c, r, c)
         assert res.boundary_index == 3
         assert res.frames == (0, 1, 2, 3, 4, 5)
         np.testing.assert_array_equal(res.center_dist, np.zeros(6))
@@ -157,13 +162,19 @@ class TestOverlapResidual:
 
     def test_length_mismatch_rejected(self):
         poses = arc_poses(6)
+        r, c = poses.rotations, poses.centers
         with pytest.raises(PlanError):
-            overlap_residual(poses[:3], poses[:2])
+            overlap_residual(0, 0, r[:3], c[:3], r[:2], c[:2])
 
     def test_frame_mismatch_rejected(self):
-        poses = arc_poses(6)
+        # The residual compares the emitted tail with the new window's
+        # first frames; stitch_step refuses a window whose frames differ.
+        poses = arc_poses(12)
+        plan = plan_windows(12, 6, 3)
+        state, _ = stitch_step(StitchState(), poses[:6], plan)
         with pytest.raises(PlanError):
-            overlap_residual(poses[:3], poses[1:4])
+            stitch_step(state, poses[4:10], plan)
+        assert state.boundary_log == []
 
 
 class TestStitchStep:

@@ -100,6 +100,12 @@ class TestLoadPoseStream:
         with pytest.raises(StreamFormatError, match="last row"):
             list(load_pose_stream(stream_of(bad)))
 
+    def test_nan_last_row_rejected(self):
+        # json reads NaN tokens; a NaN entry must not slip past the check
+        bad = IDENTITY_LINE.replace("0,0,0,1]", "NaN,NaN,NaN,NaN]")
+        with pytest.raises(StreamFormatError, match="last row"):
+            list(load_pose_stream(stream_of(bad)))
+
     def test_non_orthonormal_rotation_rejected_at_pose_build(self):
         m = np.eye(4)
         m[0, 0] = 1.5
@@ -293,6 +299,25 @@ class TestRawFloatMaps:
             read_focus_map_float(path)
 
 
+    @pytest.mark.parametrize("write, read", [(write_focus_map_float, read_focus_map_float),
+                                             (write_depth_map, read_depth_map)])
+    def test_oversized_header_rejected_before_reading(self, tmp_path, write, read):
+        path = tmp_path / "m.mfd"
+        write(np.zeros((2, 2)), path)
+        data = path.read_bytes()
+        path.write_bytes(data[:8] + b"\xff" * 8 + data[16:])
+        with pytest.raises(StreamFormatError, match="4294967295x4294967295") as err:
+            read(path)
+        assert str(path) in str(err.value)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "m.mfm"
+        write_focus_map_float(np.zeros((4, 4)), path)
+        path.write_bytes(path.read_bytes() + b"\0" * 4)
+        with pytest.raises(StreamFormatError, match="4x4"):
+            read_focus_map_float(path)
+
+
 class TestAtomicWrite:
     def test_no_temp_files_left_behind(self, tmp_path):
         atomic_write_bytes(tmp_path / "a.bin", b"payload")
@@ -305,6 +330,72 @@ class TestAtomicWrite:
         atomic_write_bytes(path, b"two")
         assert path.read_bytes() == b"two"
         assert os.listdir(tmp_path) == ["a.bin"]
+
+
+class TestAtomicTextFiles:
+    """Pose streams, intrinsics and bench CSVs written to a path replace it whole."""
+
+    K = Intrinsics(500.0, 510.0, 320.0, 250.0, 640, 480)
+
+    @staticmethod
+    def interrupted_records(n):
+        poses, _ = generate_trajectory(ScenarioSpec(kind="arc", frames=10))
+        for i, record in enumerate(records_from_poses(poses)):
+            if i == n:
+                raise KeyboardInterrupt
+            yield record
+
+    @pytest.mark.parametrize("old", [None, "old stream\n"])
+    def test_interrupted_pose_stream_leaves_the_old_file(self, tmp_path, old):
+        path = tmp_path / "poses.jsonl"
+        if old is not None:
+            path.write_text(old)
+        with pytest.raises(KeyboardInterrupt):
+            write_pose_stream(path, self.interrupted_records(3))
+        assert os.listdir(tmp_path) == ([] if old is None else ["poses.jsonl"])
+        if old is not None:
+            assert path.read_text() == old
+
+    def test_interrupted_intrinsics_leave_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "k.json"
+        write_intrinsics(self.K, path)
+        old = path.read_text()
+
+        def partial_dump(obj, fh):
+            fh.write('{"fx": ')
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(json, "dump", partial_dump)
+        with pytest.raises(KeyboardInterrupt):
+            write_intrinsics(Intrinsics(1.0, 1.0, 0.0, 0.0, 2, 2), path)
+        with pytest.raises(KeyboardInterrupt):
+            write_intrinsics(self.K, tmp_path / "new.json")
+        assert path.read_text() == old
+        assert os.listdir(tmp_path) == ["k.json"]
+
+    def test_interrupted_bench_csv_leaves_no_file(self, tmp_path):
+        path = tmp_path / "bench.csv"
+        with pytest.raises(KeyError):
+            write_bench_csv([{"stage": "render"}], path)
+        assert os.listdir(tmp_path) == []
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        # only regular files are replaced; a FIFO (or a device such as
+        # /dev/null) stays what it is and gets the bytes
+        import stat
+        import threading
+
+        fifo = tmp_path / "k.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        write_intrinsics(self.K, fifo)
+        reader.join(10)
+        assert not reader.is_alive()
+        assert load_intrinsics(io.StringIO(got[0])) == self.K
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["k.fifo"]
 
 
 class TestOutputNames:
