@@ -1,0 +1,58 @@
+"""In-process throughput rows, one JSON line each, best of REPEATS (default 3).
+
+Usage: PYTHONPATH=src python3 scripts/bench_rows.py [REPEATS]
+
+jsonl_load_records (load_pose_stream + to_pose), jsonl_load_batches
+(load_pose_batches, the `run` loader; null where the tree lacks it) and
+jsonl_write (write_pose_stream of records_from_poses) run on a 20,000-pose
+arc stream with truth; run_1080p is `ego-focus run` on a 200-frame arc at
+1920x1080, fx=30, one thread, every map non-zero, timed as a whole command.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+import time
+
+from ego_focus import cli, simulate, streams
+from ego_focus.geometry import Intrinsics
+
+
+def best_rate(count, fn, repeats):
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return count / min(times)
+
+
+def main(repeats=3):
+    with tempfile.TemporaryDirectory() as tmp:
+        poses_path, k_path = os.path.join(tmp, "poses.jsonl"), os.path.join(tmp, "k.json")
+        poses, truth = simulate.generate_trajectory(simulate.ScenarioSpec(kind="arc", frames=20000))
+        rows = [("jsonl_write", best_rate(len(poses), lambda: streams.write_pose_stream(
+            poses_path, streams.records_from_poses(poses, truth)), repeats))]
+        rows.append(("jsonl_load_records", best_rate(len(poses), lambda: [
+            r.to_pose() for r in streams.load_pose_stream(poses_path)], repeats)))
+        batches = getattr(streams, "load_pose_batches", None)
+        rows.append(("jsonl_load_batches", batches and best_rate(
+            len(poses), lambda: sum(len(b) for b in batches(poses_path)), repeats)))
+        arc, _ = simulate.generate_trajectory(simulate.ScenarioSpec(kind="arc", frames=200))
+        streams.write_pose_stream(poses_path, streams.records_from_poses(arc))
+        streams.write_intrinsics(Intrinsics(30.0, 30.0, 960.0, 540.0, 1920, 1080), k_path)
+        args = ["run", "--poses", poses_path, "--intrinsics", k_path, "--threads", "1",
+                "--out-dir", os.path.join(tmp, "maps")]
+        with contextlib.redirect_stdout(io.StringIO()):  # 198 maps: two frames make none
+            rows.append(("run_1080p", best_rate(len(arc) - 2, lambda: cli.main(args) == 0
+                                                or sys.exit("ego-focus run failed"), repeats)))
+    for name, value in rows:
+        unit = "maps/s" if name == "run_1080p" else "poses/s"
+        print(json.dumps({"row": name, "value": value, "unit": unit}))
+
+
+if __name__ == "__main__":
+    main(*map(int, sys.argv[1:]))

@@ -54,6 +54,7 @@ from .benchmark import bench
 from .streams import (
     PoseStreamRecord,
     load_intrinsics,
+    load_pose_batches,
     load_pose_stream,
     read_depth_map,
     read_focus_map_float,

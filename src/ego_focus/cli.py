@@ -11,7 +11,7 @@ from .benchmark import DEFAULT_RESOLUTIONS, DEFAULT_STREAM_SIZES, bench
 from .errors import EgoFocusError
 from .geometry import DEFAULT_EPS_Z
 from .motion import DEFAULT_FOCUS_N
-from .pipeline import RunConfig, RunSummary, run_stream
+from .pipeline import RunConfig, run_stream
 from .simulate import SCENARIOS, ScenarioSpec, iter_trajectory
 from .stitching import DEFAULT_OVERLAP, DEFAULT_WINDOW_SIZE
 from . import streams
@@ -96,16 +96,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         threads=args.threads,
     )
     intrinsics = streams.load_intrinsics(args.intrinsics)
-    poses = (record.to_pose() for record in streams.load_pose_stream(args.poses))
-    summary = run_stream(poses, intrinsics, cfg, args.out_dir,
+    summary = run_stream(streams.load_pose_batches(args.poses), intrinsics, cfg, args.out_dir,
                          residuals_path=args.residuals, depth_dir=args.depth_dir)
-    _print_summary(summary)
+    print("\n".join(summary.lines()))
     return 0
-
-
-def _print_summary(summary: RunSummary) -> None:
-    for line in summary.lines():
-        print(line)
 
 
 def _cmd_sim(args: argparse.Namespace) -> int:

@@ -40,6 +40,9 @@ from .errors import ConfigError, DegenerateOrientationError, InvalidPoseError, P
 ORTHONORMAL_TOL = 1e-9
 REORTHONORMALIZE_LIMIT = 1e-4
 
+# Largest deviation of a 4x4 pose matrix's last row from (0, 0, 0, 1).
+POSE_ROW_TOL = 1e-9
+
 # |pitch| within this of pi/2 makes yaw/roll inseparable.
 GIMBAL_TOL = 1e-6
 
@@ -47,6 +50,7 @@ GIMBAL_TOL = 1e-6
 DEFAULT_EPS_Z = 1e-6
 
 _EYE3 = np.eye(3)
+_LAST_ROW = np.array([0.0, 0.0, 0.0, 1.0])
 
 
 def rotation_drift(rotation: np.ndarray) -> float:
@@ -109,6 +113,14 @@ def _checked_poses(first_frame: int, rotations: np.ndarray, translations: np.nda
     raise InvalidPoseError(f"{what}: non-finite translation")
 
 
+def _bad_last_rows(rows: np.ndarray) -> np.ndarray:
+    """Which last rows (..., 4) of 4x4 pose matrices are not (0, 0, 0, 1).
+
+    Written as "not <=" so that a row with a NaN entry is bad too.
+    """
+    return ~(np.abs(rows - _LAST_ROW) <= POSE_ROW_TOL).all(axis=-1)
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.float64, copy=True)
     out.flags.writeable = False
@@ -147,13 +159,12 @@ class CameraPose:
     __hash__ = None
 
     @classmethod
-    def from_matrix(cls, frame_index: int, matrix: np.ndarray, row_tol: float = 1e-9) -> "CameraPose":
+    def from_matrix(cls, frame_index: int, matrix: np.ndarray) -> "CameraPose":
         """Build from a 4x4 world-to-camera matrix; checks the last row."""
         m = np.asarray(matrix, dtype=np.float64)
         if m.shape != (4, 4):
             raise ValueError(f"expected 4x4 matrix, got {m.shape}")
-        # Written as "not <=" so that a NaN entry fails the check too.
-        if not np.abs(m[3] - np.array([0.0, 0.0, 0.0, 1.0])).max() <= row_tol:
+        if _bad_last_rows(m[3]):
             raise InvalidPoseError(
                 f"frame {frame_index}: last row {m[3].tolist()} is not (0, 0, 0, 1)"
             )
@@ -413,8 +424,10 @@ class Intrinsics:
                 raise ConfigError(key, f"must be finite, got {value}")
         if self.fx <= 0 or self.fy <= 0:
             raise ConfigError("fx" if self.fx <= 0 else "fy", "focal length must be > 0")
-        if self.width < 1 or self.height < 1:
-            raise ConfigError("width" if self.width < 1 else "height", "must be >= 1")
+        for key in ("width", "height"):
+            # Map sidecar headers store both as uint32.
+            if not 1 <= getattr(self, key) < 2**32:
+                raise ConfigError(key, f"must be >= 1 and < 2**32, got {getattr(self, key)}")
 
     @property
     def K(self) -> np.ndarray:

@@ -63,10 +63,10 @@ class FocusConfig:
     def __post_init__(self):
         if self.n_points < 1:
             raise ConfigError("n_points", f"must be >= 1, got {self.n_points}")
-        if self.sigma_px is not None and not self.sigma_px > 0:
-            raise ConfigError("sigma_px", f"must be > 0, got {self.sigma_px}")
-        if self.eps_z < 0:
-            raise ConfigError("eps_z", f"must be >= 0, got {self.eps_z}")
+        if self.sigma_px is not None and not 0 < self.sigma_px < np.inf:
+            raise ConfigError("sigma_px", f"must be finite and > 0, got {self.sigma_px}")
+        if not 0 <= self.eps_z < np.inf:
+            raise ConfigError("eps_z", f"must be finite and >= 0, got {self.eps_z}")
         lo, hi = self.s_clamp
         if not 0 < lo <= hi:
             raise ConfigError("s_clamp", f"must satisfy 0 < lo <= hi, got {self.s_clamp}")

@@ -24,7 +24,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -134,12 +134,8 @@ class RunSummary:
     peak_rss_bytes: int = 0
 
     def lines(self) -> list[str]:
-        return [f"{key}={getattr(self, key)}" for key in (
-            "frames_in", "windows", "frames_emitted", "samples", "points_projected",
-            "points_skipped", "maps_written", "zero_maps", "boundaries",
-            "max_center_residual", "max_rotation_residual_rad", "wall_seconds",
-            "poses_per_second", "maps_per_second", "peak_rss_bytes",
-        )]
+        """One key=value line per field, in declaration order."""
+        return [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
 
 
 def iter_windows(poses: Iterable[Union[CameraPose, PoseBatch]],

@@ -30,8 +30,8 @@ from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, StreamDiscontinuityError, StreamFormatError
-from .geometry import CameraPose, Intrinsics
+from .errors import ConfigError, InvalidPoseError, StreamDiscontinuityError, StreamFormatError
+from .geometry import CameraPose, Intrinsics, PoseBatch, _bad_last_rows
 from .motion import MotionBlock
 from .simulate import TrajectoryTruth
 from .stitching import BoundaryResidual
@@ -39,7 +39,10 @@ from .stitching import BoundaryResidual
 FOCUS_MAP_MAGIC = b"MFMAP\x00\x00\x00"
 DEPTH_MAP_MAGIC = b"MFDEP\x00\x00\x00"
 
-_POSE_ROW_TOL = 1e-9
+# Records per parsed chunk: the unit of validation, and how far a reader
+# of a live pipe runs ahead of the records it has handed on.
+_CHUNK_ROWS = 64
+_NUMBER_TYPES = {int, float}
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,55 +61,7 @@ class PoseStreamRecord:
     truth: Optional[TruthSample] = None
 
     def to_pose(self) -> CameraPose:
-        return CameraPose.from_matrix(self.frame, self.T_wc, row_tol=_POSE_ROW_TOL)
-
-
-def _is_number(x) -> bool:
-    """An int or float, but not a bool (which Python counts as an int)."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _parse_vec3(obj, key: str, line_no: int) -> np.ndarray:
-    if (not isinstance(obj, (list, tuple)) or len(obj) != 3
-            or not all(_is_number(x) for x in obj)):
-        raise StreamFormatError(f"line {line_no}: truth.{key} must be a list of 3 numbers")
-    return np.array(obj, dtype=np.float64)
-
-
-def _parse_record(line: str, line_no: int) -> PoseStreamRecord:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as err:
-        raise StreamFormatError(f"line {line_no}: invalid JSON: {err}") from err
-    if not isinstance(obj, dict):
-        raise StreamFormatError(f"line {line_no}: expected an object")
-    try:
-        frame = obj["frame"]
-        flat = obj["T_wc"]
-    except KeyError as err:
-        raise StreamFormatError(f"line {line_no}: missing key {err.args[0]!r}") from err
-    if not isinstance(frame, int) or isinstance(frame, bool) or frame < 0:
-        raise StreamFormatError(f"line {line_no}: frame must be a non-negative integer")
-    if (not isinstance(flat, list) or len(flat) != 16
-            or not all(_is_number(x) for x in flat)):
-        raise StreamFormatError(f"line {line_no}: T_wc must be a list of 16 numbers")
-    matrix = np.array(flat, dtype=np.float64).reshape(4, 4)
-    # Written as "not <=" so that a NaN entry fails the check too.
-    if not np.abs(matrix[3] - np.array([0.0, 0.0, 0.0, 1.0])).max() <= _POSE_ROW_TOL:
-        raise StreamFormatError(
-            f"line {line_no}: last row of T_wc is {matrix[3].tolist()}, expected (0, 0, 0, 1)"
-        )
-    truth = None
-    if obj.get("truth") is not None:
-        tr = obj["truth"]
-        if not isinstance(tr, dict):
-            raise StreamFormatError(f"line {line_no}: truth must be an object")
-        truth = TruthSample(
-            position=_parse_vec3(tr.get("position"), "position", line_no),
-            velocity=_parse_vec3(tr.get("velocity"), "velocity", line_no),
-            acceleration=_parse_vec3(tr.get("acceleration"), "acceleration", line_no),
-        )
-    return PoseStreamRecord(frame=frame, T_wc=matrix, truth=truth)
+        return CameraPose.from_matrix(self.frame, self.T_wc)
 
 
 @contextlib.contextmanager
@@ -161,47 +116,145 @@ def _text_file(target: Union[str, os.PathLike, IO[str]], mode: str,
             yield fh
 
 
+def _store(out: np.ndarray, values) -> bool:
+    """Copy a JSON list of len(out) numbers into out; False for anything else.
+
+    The element types are checked at C speed against exact int and float,
+    so a JSON boolean (a Python int subclass) fails, and so does an int
+    too large for float64.
+    """
+    if type(values) is not list or len(values) != len(out) \
+            or not set(map(type, values)) <= _NUMBER_TYPES:
+        return False
+    try:
+        out[:] = values
+    except OverflowError:
+        return False
+    return True
+
+
+def _pose_chunks(fh: IO[str]) -> Iterator[tuple[int, np.ndarray, list]]:
+    """Parse JSONL pose lines into chunks of at most _CHUNK_ROWS records.
+
+    A chunk is (first frame, (n, 16) T_wc rows, truth): per record a
+    (3, 3) array of truth position, velocity and acceleration, or None.
+    Blank lines are skipped and frames must advance by exactly one. A
+    line is checked in the order JSON, object, keys, frame, T_wc, last
+    row, truth, frame continuity; the last rows once per chunk. When a
+    line fails, the records before it come out first, then its error.
+    """
+    prev = None
+    line_no = 0
+    lines = enumerate(fh, start=1)
+    while True:
+        rows = np.empty((_CHUNK_ROWS, 16))
+        truth_rows = np.empty((_CHUNK_ROWS, 3, 3))
+        truth: list[Optional[np.ndarray]] = []
+        line_nos: list[int] = []  # of each row stored, a failing line's too
+        error = None
+        try:
+            for line_no, line in lines:
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as err:
+                    if not line.strip():
+                        continue
+                    raise StreamFormatError(f"line {line_no}: invalid JSON: {err}") from err
+                if not isinstance(obj, dict):
+                    raise StreamFormatError(f"line {line_no}: expected an object")
+                try:
+                    frame = obj["frame"]
+                    flat = obj["T_wc"]
+                except KeyError as err:
+                    raise StreamFormatError(
+                        f"line {line_no}: missing key {err.args[0]!r}") from err
+                if type(frame) is not int or frame < 0:
+                    raise StreamFormatError(f"line {line_no}: frame must be a non-negative integer")
+                n = len(truth)
+                if not _store(rows[n], flat):
+                    raise StreamFormatError(f"line {line_no}: T_wc must be a list of 16 numbers")
+                line_nos.append(line_no)
+                tr = obj.get("truth")
+                if tr is not None:
+                    if not isinstance(tr, dict):
+                        raise StreamFormatError(f"line {line_no}: truth must be an object")
+                    for key, out in zip(("position", "velocity", "acceleration"), truth_rows[n]):
+                        if not _store(out, tr.get(key)):
+                            raise StreamFormatError(
+                                f"line {line_no}: truth.{key} must be a list of 3 numbers")
+                    tr = truth_rows[n]
+                if prev is not None and frame != prev + 1:
+                    raise StreamDiscontinuityError(
+                        f"line {line_no}: frame {frame} follows {prev}; expected {prev + 1}")
+                prev = frame
+                truth.append(tr)
+                if len(truth) == _CHUNK_ROWS:
+                    break
+        except (StreamFormatError, StreamDiscontinuityError) as err:
+            error = err
+        except UnicodeDecodeError as err:
+            # The text layer decodes one read at a time. The failing read
+            # starts on the line after the last one returned and err.object
+            # holds its bytes, so the newlines before the bad byte count too.
+            bad_line = line_no + 1 + err.object.count(b"\n", 0, err.start)
+            error = StreamFormatError(f"line {bad_line}: not UTF-8 ({err.reason})")
+        n = len(truth)
+        bad = _bad_last_rows(rows[:len(line_nos), 12:])
+        if bad.any():
+            n = int(bad.argmax())
+            error = StreamFormatError(f"line {line_nos[n]}: last row of T_wc is "
+                                      f"{rows[n, 12:].tolist()}, expected (0, 0, 0, 1)")
+        if n:  # the passed rows end at frame prev
+            yield prev + 1 - len(truth), rows[:n], truth[:n]
+        if error is not None:
+            raise error
+        if len(truth) < _CHUNK_ROWS:
+            return
+
+
 def load_pose_stream(source: Union[str, os.PathLike, IO[str]]) -> Iterator[PoseStreamRecord]:
     """Stream records from a JSONL file, a path, or '-' for stdin.
 
     Frames must advance by exactly one; a gap or repeat raises
-    StreamDiscontinuityError naming the offending frame. Parsing is
-    line by line, so arbitrarily long files run in constant memory.
+    StreamDiscontinuityError naming the offending frame. Lines are read
+    _CHUNK_ROWS records at a time, so arbitrarily long files run in
+    constant memory. Rotations are left to PoseStreamRecord.to_pose.
     """
     with _text_file(source, "r", sys.stdin) as fh:
-        yield from _iter_records(fh)
+        for first, rows, truth in _pose_chunks(fh):
+            for i, (matrix, tr) in enumerate(zip(rows.reshape(-1, 4, 4), truth)):
+                yield PoseStreamRecord(first + i, matrix, None if tr is None else TruthSample(*tr))
 
 
-def _iter_records(fh: IO[str]) -> Iterator[PoseStreamRecord]:
-    prev_frame = None
-    line_no = 0
-    try:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            record = _parse_record(line, line_no)
-            if prev_frame is not None and record.frame != prev_frame + 1:
-                raise StreamDiscontinuityError(
-                    f"line {line_no}: frame {record.frame} follows {prev_frame}; "
-                    f"expected {prev_frame + 1}"
-                )
-            prev_frame = record.frame
-            yield record
-    except UnicodeDecodeError as err:
-        # The text layer decodes one read at a time. The failing read
-        # starts on the line after the last one returned and err.object
-        # holds its bytes, so the newlines before the bad byte count too.
-        bad_line = line_no + 1 + err.object.count(b"\n", 0, err.start)
-        raise StreamFormatError(f"line {bad_line}: not UTF-8 ({err.reason})") from err
+def load_pose_batches(source: Union[str, os.PathLike, IO[str]]) -> Iterator[PoseBatch]:
+    """Stream the poses of a JSONL file, a path, or '-', as validated PoseBatch chunks.
+
+    Every error of load_pose_stream and PoseStreamRecord.to_pose comes
+    out the same way here, after the poses before the failing one.
+    """
+    with _text_file(source, "r", sys.stdin) as fh:
+        for first, rows, _ in _pose_chunks(fh):
+            m = rows.reshape(-1, 4, 4)
+            try:
+                batches = [PoseBatch(first, m[:, :3, :3], m[:, :3, 3])]
+            except InvalidPoseError:
+                # Pose by pose, so that the poses before the bad one come out first.
+                batches = (PoseBatch(first + i, m[i:i + 1, :3, :3], m[i:i + 1, :3, 3])
+                           for i in range(len(m)))
+            yield from batches
+
+
+def _floats(values: np.ndarray) -> list[float]:
+    return np.asarray(values, dtype=np.float64).reshape(-1).tolist()
 
 
 def _record_to_json(record: PoseStreamRecord) -> str:
-    obj = {"frame": record.frame, "T_wc": [float(x) for x in record.T_wc.reshape(16)]}
+    obj = {"frame": record.frame, "T_wc": _floats(record.T_wc)}
     if record.truth is not None:
         obj["truth"] = {
-            "position": [float(x) for x in record.truth.position],
-            "velocity": [float(x) for x in record.truth.velocity],
-            "acceleration": [float(x) for x in record.truth.acceleration],
+            "position": _floats(record.truth.position),
+            "velocity": _floats(record.truth.velocity),
+            "acceleration": _floats(record.truth.acceleration),
         }
     return json.dumps(obj, separators=(",", ":"))
 
@@ -221,15 +274,18 @@ def write_pose_stream(target: Union[str, os.PathLike, IO[str]],
 
 
 def records_from_poses(poses: Sequence[CameraPose],
-                       truth: Optional[TrajectoryTruth] = None,
-                       truth_offset: int = 0) -> Iterator[PoseStreamRecord]:
-    """Pair poses with per-frame truth rows for serialization."""
-    for i, pose in enumerate(poses):
+                       truth: Optional[TrajectoryTruth] = None) -> Iterator[PoseStreamRecord]:
+    """Pair poses of consecutive frames with per-frame truth rows for serialization."""
+    batch = PoseBatch.from_poses(poses)
+    matrices = np.zeros((len(batch), 4, 4))
+    matrices[:, :3, :3] = batch.rotations
+    matrices[:, :3, 3] = batch.translations
+    matrices[:, 3, 3] = 1.0
+    for i, matrix in enumerate(matrices):
         sample = None
         if truth is not None:
-            j = truth_offset + i
-            sample = TruthSample(truth.position[j], truth.velocity[j], truth.acceleration[j])
-        yield PoseStreamRecord(frame=pose.frame_index, T_wc=pose.matrix(), truth=sample)
+            sample = TruthSample(truth.position[i], truth.velocity[i], truth.acceleration[i])
+        yield PoseStreamRecord(batch.first_frame + i, matrix, sample)
 
 
 def load_intrinsics(source: Union[str, os.PathLike, IO[str]]) -> Intrinsics:
@@ -245,7 +301,7 @@ def load_intrinsics(source: Union[str, os.PathLike, IO[str]]) -> Intrinsics:
     for key in ("fx", "fy", "cx", "cy"):
         if key not in obj:
             raise ConfigError(key, "missing from intrinsics")
-        if not _is_number(obj[key]) or not math.isfinite(obj[key]):
+        if type(obj[key]) not in _NUMBER_TYPES or not math.isfinite(obj[key]):
             raise ConfigError(key, f"must be a finite number, got {obj[key]!r}")
         values[key] = float(obj[key])
     for key in ("width", "height"):
@@ -254,7 +310,7 @@ def load_intrinsics(source: Union[str, os.PathLike, IO[str]]) -> Intrinsics:
         v = obj[key]
         if isinstance(v, float) and v.is_integer():
             v = int(v)
-        if not isinstance(v, int) or isinstance(v, bool):
+        if type(v) is not int:
             raise ConfigError(key, f"must be an integer, got {obj[key]!r}")
         values[key] = v
     return Intrinsics(**values)

@@ -189,6 +189,75 @@ class TestRun:
         assert err.startswith("error: ") and "depth_000002.mfd" in err
 
 
+    def test_run_builds_no_single_pose(self, tmp_path, monkeypatch):
+        from ego_focus import CameraPose
+
+        poses = sim(tmp_path)
+        k_path = tmp_path / "k.json"
+        write_intrinsics(WIDE, k_path)
+        built = []
+        real = CameraPose.__post_init__
+
+        def counted(self):
+            built.append(self.frame_index)
+            real(self)
+
+        monkeypatch.setattr(CameraPose, "__post_init__", counted)
+        rc = main([
+            "run", "--poses", str(poses), "--intrinsics", str(k_path),
+            "--out-dir", str(tmp_path / "o"),
+        ])
+        assert rc == 0
+        assert built == []
+
+    def test_bad_rotation_mid_stream_fails_after_earlier_maps(self, tmp_path, capsys):
+        poses = sim(tmp_path)
+        lines = poses.read_text().splitlines()
+        obj = json.loads(lines[70])
+        obj["T_wc"][0] = 1.5
+        lines[70] = json.dumps(obj)
+        poses.write_text("\n".join(lines) + "\n")
+        k_path = tmp_path / "k.json"
+        write_intrinsics(WIDE, k_path)
+        out_dir = tmp_path / "o"
+        rc = main([
+            "run", "--poses", str(poses), "--intrinsics", str(k_path),
+            "--out-dir", str(out_dir), "--window-size", "30", "--overlap", "5",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: frame 70: rotation drift")
+        # windows 0..29 and 25..54 were complete before frame 70 was reached
+        assert (out_dir / "focus_000054.pgm").exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--eps-z", "nan"), ("--eps-z", "inf"), ("--sigma-px", "inf"), ("--sigma-px", "nan"),
+    ])
+    def test_non_finite_focus_knob_fails_cleanly(self, tmp_path, capsys, flag, value):
+        poses = sim(tmp_path)
+        k_path = tmp_path / "k.json"
+        write_intrinsics(WIDE, k_path)
+        rc = main([
+            "run", "--poses", str(poses), "--intrinsics", str(k_path),
+            "--out-dir", str(tmp_path / "o"), flag, value,
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag[2:].replace('-', '_')}: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("size", [2 ** 32, 10 ** 12])
+    def test_map_size_beyond_the_sidecar_header_fails_cleanly(self, tmp_path, capsys, size):
+        poses = sim(tmp_path)
+        k_path = tmp_path / "k.json"
+        k_path.write_text(json.dumps({"fx": 10.0, "fy": 10.0, "cx": 0.0, "cy": 0.0,
+                                      "width": float(size), "height": size}))
+        rc = main([
+            "run", "--poses", str(poses), "--intrinsics", str(k_path),
+            "--out-dir", str(tmp_path / "o"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: width: must be >= 1 and < 2**32")
+
+
 class TestBench:
     def test_tiny_bench_writes_csv(self, tmp_path):
         report = tmp_path / "report.csv"

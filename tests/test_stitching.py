@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ego_focus import (
+    SCENARIOS,
     CameraPose,
     PlanError,
+    PoseBatch,
     ScenarioSpec,
     StitchState,
     WindowPlan,
@@ -419,3 +422,29 @@ class TestPerturbBatches:
         _, a = perturb_batches(batches, yaw_range=0.5, translation_range=1.0, seed=2)
         _, b = perturb_batches(batches, yaw_range=0.5, translation_range=1.0, seed=3)
         assert not np.allclose(a[1].translation, b[1].translation)
+
+
+class TestStitchRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(SCENARIOS), seed=st.integers(0, 2 ** 32 - 1),
+           window=st.integers(2, 40), data=st.data(),
+           anchor_mode=st.sampled_from(["first", "last"]),
+           yaw_range=st.floats(0.0, math.pi), translation_range=st.floats(0.0, 50.0))
+    def test_yaw_translation_disturbance_is_undone(self, kind, seed, window, data, anchor_mode,
+                                                   yaw_range, translation_range):
+        overlap = data.draw(st.integers(1, window - 1), label="overlap")
+        frames = data.draw(st.integers(window, 200), label="frames")
+        spec = ScenarioSpec(kind=kind, frames=frames, seed=seed, bob_amplitude=0.01,
+                            jitter_amplitude_rad=0.004)
+        poses, _ = generate_trajectory(spec)
+        plan = plan_windows(frames, window, overlap)
+        disturbed, _ = perturb_batches(split_batches(poses, plan), yaw_range=yaw_range,
+                                       translation_range=translation_range, seed=seed)
+        state, emitted = StitchState(), []
+        for batch in disturbed:
+            state, out = stitch_step(state, batch, plan, anchor_mode=anchor_mode)
+            emitted.append(out)
+        stitched = PoseBatch.concat(emitted)
+        assert stitched.first_frame == 0 and len(stitched) == frames
+        assert np.abs(stitched.rotations - poses.rotations).max() <= 1e-9
+        assert np.abs(stitched.centers - poses.centers).max() <= 1e-9

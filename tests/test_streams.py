@@ -4,9 +4,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ego_focus import (
     ConfigError,
+    EgoFocusError,
     Intrinsics,
     InvalidPoseError,
     PoseStreamRecord,
@@ -14,6 +16,7 @@ from ego_focus import (
     StreamDiscontinuityError,
     generate_trajectory,
     load_intrinsics,
+    load_pose_batches,
     load_pose_stream,
     read_depth_map,
     read_focus_map_float,
@@ -24,11 +27,15 @@ from ego_focus import (
     write_pose_stream,
 )
 from ego_focus.errors import StreamFormatError
+from ego_focus.geometry import compose_gravity_ypr
 from ego_focus.streams import (
+    _CHUNK_ROWS,
     DEPTH_MAP_MAGIC,
     FOCUS_MAP_MAGIC,
     FocusPointCsvWriter,
+    PoseStreamRecord,
     ResidualCsvWriter,
+    TruthSample,
     atomic_write_bytes,
     depth_input_name,
     depth_output_name,
@@ -168,6 +175,183 @@ class TestPoseStreamRoundTrip:
         buf = io.StringIO()
         assert write_pose_stream(buf, records_from_poses(poses)) == 3
         assert len(buf.getvalue().splitlines()) == 3
+
+
+def pose_objects(first, n, seed, truth_every=2):
+    """n valid JSON pose objects from frame `first`: random rotations, some
+    with drift the loader repairs, translations over many magnitudes."""
+    rng = np.random.default_rng(seed)
+    objs = []
+    for i in range(n):
+        yaw, pitch, roll = rng.uniform(-3.0, 3.0), rng.uniform(-1.5, 1.5), rng.uniform(-3.0, 3.0)
+        r = compose_gravity_ypr(yaw, pitch, roll)
+        if i % 3 == 1:
+            r = r + rng.uniform(-1e-6, 1e-6, size=(3, 3))  # drift in the repair band
+        m = np.eye(4)
+        m[:3, :3] = r
+        m[:3, 3] = rng.normal(size=3) * 10.0 ** rng.integers(-8, 9)
+        obj = {"frame": first + i, "T_wc": m.reshape(16).tolist()}
+        if truth_every and i % truth_every == 0:
+            obj["truth"] = {key: rng.normal(size=3).tolist()
+                            for key in ("position", "velocity", "acceleration")}
+        objs.append(obj)
+    return objs
+
+
+def drain_records(text):
+    """Frames and arrays of records + to_pose up to the first error, and that error."""
+    poses, error = [], None
+    try:
+        for record in load_pose_stream(io.StringIO(text)):
+            poses.append(record.to_pose())
+    except EgoFocusError as err:
+        error = err
+    return ([p.frame_index for p in poses],
+            np.array([p.rotation for p in poses]).reshape(-1, 3, 3),
+            np.array([p.translation for p in poses]).reshape(-1, 3), error)
+
+
+def drain_batches(text):
+    """The same through load_pose_batches."""
+    batches, error = [], None
+    try:
+        for batch in load_pose_batches(io.StringIO(text)):
+            batches.append(batch)
+    except EgoFocusError as err:
+        error = err
+    return ([f for b in batches for f in range(b.first_frame, b.end_frame)],
+            np.concatenate([b.rotations for b in batches] + [np.empty((0, 3, 3))]),
+            np.concatenate([b.translations for b in batches] + [np.empty((0, 3))]), error)
+
+
+def assert_same_outcome(got, want):
+    assert got[0] == want[0]
+    assert got[1].tobytes() == want[1].tobytes()
+    assert got[2].tobytes() == want[2].tobytes()
+    assert type(got[3]) is type(want[3]) and str(got[3]) == str(want[3])
+
+
+# One defect of each kind a line can carry, applied to a valid pose object,
+# with the error it must raise and what the error names.
+def _set_entry(index, value):
+    def apply(obj):
+        obj["T_wc"][index] = value
+    return apply
+
+
+DEFECTS = {
+    "json": (lambda obj: "{not json", "StreamFormatError", "invalid JSON"),
+    "array": (lambda obj: "[1, 2]", "StreamFormatError", "expected an object"),
+    "no_T_wc": (lambda obj: obj.pop("T_wc"), "StreamFormatError", "missing key 'T_wc'"),
+    "bool_frame": (lambda obj: obj.update(frame=True), "StreamFormatError", "frame must be"),
+    "short_T_wc": (lambda obj: obj["T_wc"].pop(), "StreamFormatError", "16 numbers"),
+    "bool_entry": (_set_entry(3, True), "StreamFormatError", "16 numbers"),
+    "huge_int": (_set_entry(3, 10 ** 400), "StreamFormatError", "16 numbers"),
+    "off_last_row": (_set_entry(12, 1e-6), "StreamFormatError", "last row"),
+    **{f"nan_last_row_{j}": (_set_entry(12 + j, float("nan")), "StreamFormatError", "last row")
+       for j in range(4)},
+    "truth_not_object": (lambda obj: obj.update(truth=[1.0]), "StreamFormatError",
+                         "truth must be an object"),
+    "truth_short": (lambda obj: obj.update(truth={"position": [0.0] * 3,
+                                                  "velocity": [0.0] * 2,
+                                                  "acceleration": [0.0] * 3}),
+                    "StreamFormatError", "truth.velocity"),
+    "gap": (lambda obj: obj.update(frame=obj["frame"] + 1), "StreamDiscontinuityError",
+            "follows"),
+    "rotation": (_set_entry(0, 1.5), "InvalidPoseError", "rotation drift"),
+    "nan_translation": (_set_entry(7, float("nan")), "InvalidPoseError", "non-finite translation"),
+}
+
+
+class TestPoseChunks:
+    @settings(max_examples=60, deadline=None)
+    @given(first=st.integers(0, 2 ** 62),
+           records=st.lists(st.tuples(
+               st.lists(st.floats(allow_nan=False), min_size=12, max_size=12),
+               st.none() | st.lists(st.floats(allow_nan=False), min_size=9, max_size=9)),
+               max_size=8))
+    def test_write_then_load_round_trip(self, first, records):
+        written = []
+        for i, (top, truth) in enumerate(records):
+            matrix = np.array(top + [0.0, 0.0, 0.0, 1.0]).reshape(4, 4)
+            sample = None if truth is None else TruthSample(*np.array(truth).reshape(3, 3))
+            written.append(PoseStreamRecord(first + i, matrix, sample))
+        buf = io.StringIO()
+        assert write_pose_stream(buf, written) == len(written)
+        back = list(load_pose_stream(io.StringIO(buf.getvalue())))
+        assert [r.frame for r in back] == [r.frame for r in written]
+        for got, want in zip(back, written):
+            assert got.T_wc.tobytes() == want.T_wc.tobytes()
+            assert (got.truth is None) == (want.truth is None)
+            if want.truth is not None:
+                for key in ("position", "velocity", "acceleration"):
+                    assert getattr(got.truth, key).tobytes() == getattr(want.truth, key).tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(first=st.integers(0, 10 ** 9), n=st.integers(0, 3 * _CHUNK_ROWS),
+           seed=st.integers(0, 2 ** 32 - 1), truth_every=st.integers(0, 3),
+           blank_every=st.integers(0, 40))
+    @example(first=0, n=_CHUNK_ROWS, seed=0, truth_every=1, blank_every=0)
+    @example(first=5, n=_CHUNK_ROWS + 1, seed=1, truth_every=0, blank_every=7)
+    def test_batches_equal_records_then_to_pose(self, first, n, seed, truth_every, blank_every):
+        lines = [json.dumps(obj) for obj in pose_objects(first, n, seed, truth_every)]
+        if blank_every:
+            lines = [x for i, line in enumerate(lines)
+                     for x in ([line, "  "] if i % blank_every == 0 else [line])]
+        text = "\n".join(lines) + "\n"
+        want = drain_records(text)
+        assert want[3] is None and len(want[0]) == n
+        assert_same_outcome(drain_batches(text), want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(3, 2 * _CHUNK_ROWS + 20), seed=st.integers(0, 2 ** 32 - 1),
+           defects=st.lists(st.sampled_from(sorted(DEFECTS)), min_size=1, max_size=2),
+           data=st.data())
+    def test_earliest_bad_line_wins_after_the_lines_before_it(self, n, seed, defects, data):
+        objs = pose_objects(100, n, seed)
+        lines = [json.dumps(obj) for obj in objs]
+        where = data.draw(st.lists(st.integers(1, n - 1), min_size=len(defects),
+                                   max_size=len(defects), unique=True))
+        for kind, i in zip(defects, where):
+            apply, _, _ = DEFECTS[kind]
+            changed = apply(objs[i])
+            lines[i] = changed if isinstance(changed, str) else json.dumps(objs[i])
+        text = "\n".join(lines) + "\n"
+        i, kind = min(zip(where, defects))
+        _, error_type, fragment = DEFECTS[kind]
+        want = drain_records(text)
+        assert want[0] == list(range(100, 100 + i))
+        assert type(want[3]).__name__ == error_type and fragment in str(want[3])
+        named = f"frame {100 + i}:" if error_type == "InvalidPoseError" else f"line {i + 1}:"
+        assert str(want[3]).startswith(named)
+        assert_same_outcome(drain_batches(text), want)
+
+    @pytest.mark.parametrize("kind", ["gap", "nan_last_row_3", "rotation"])
+    @pytest.mark.parametrize("i", [_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
+    def test_defect_at_a_chunk_boundary(self, kind, i):
+        objs = pose_objects(0, _CHUNK_ROWS + 5, 11)
+        DEFECTS[kind][0](objs[i])
+        text = "".join(json.dumps(obj) + "\n" for obj in objs)
+        want = drain_records(text)
+        assert want[0] == list(range(i)) and type(want[3]).__name__ == DEFECTS[kind][1]
+        assert_same_outcome(drain_batches(text), want)
+
+    def test_last_row_beats_later_checks_of_its_line(self):
+        obj = pose_objects(0, 2, 3)[1]
+        obj["T_wc"][15] = 2.0
+        obj["frame"] = 7
+        obj["truth"] = [1.0]
+        text = json.dumps(pose_objects(0, 1, 3)[0]) + "\n" + json.dumps(obj) + "\n"
+        want = drain_records(text)
+        assert want[0] == [0] and str(want[3]).startswith("line 2: last row")
+        assert_same_outcome(drain_batches(text), want)
+
+    def test_huge_int_in_truth_rejected(self):
+        obj = json.loads(IDENTITY_LINE)
+        obj["truth"] = {"position": [0, 0, 0], "velocity": [0, 10 ** 400, 0],
+                        "acceleration": [0, 0, 0]}
+        with pytest.raises(StreamFormatError, match="line 1: truth.velocity"):
+            list(load_pose_batches(stream_of(json.dumps(obj))))
 
 
 class TestIntrinsicsIo:
