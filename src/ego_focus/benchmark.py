@@ -21,7 +21,7 @@ from __future__ import annotations
 import gc
 import time
 import tracemalloc
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -138,13 +138,11 @@ def _render_row(resolution: tuple[int, int], n_maps: int, n_points: int) -> dict
     }
 
 
-def bench(cfg: Optional[RunConfig] = None,
-          stream_sizes: Sequence[int] = DEFAULT_STREAM_SIZES,
+def bench(stream_sizes: Sequence[int] = DEFAULT_STREAM_SIZES,
           resolutions: Sequence[tuple[int, int]] = DEFAULT_RESOLUTIONS,
           maps_per_resolution: int = 40,
           points_per_map: int = 15) -> list[dict]:
-    """Run all probes; returns rows for the stage,resolution,... CSV."""
-    cfg = cfg or RunConfig()
-    rows = [_math_row(size, cfg) for size in stream_sizes]
+    """Run all probes, pose math at the default RunConfig; returns rows for the bench CSV."""
+    rows = [_math_row(size, RunConfig()) for size in stream_sizes]
     rows += [_render_row(res, maps_per_resolution, points_per_map) for res in resolutions]
     return rows

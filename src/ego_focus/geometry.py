@@ -43,6 +43,10 @@ REORTHONORMALIZE_LIMIT = 1e-4
 # Largest deviation of a 4x4 pose matrix's last row from (0, 0, 0, 1).
 POSE_ROW_TOL = 1e-9
 
+# Frames are numbered in int64 (MotionBlock.frames), so every frame
+# index is below this.
+FRAME_LIMIT = 2**63
+
 # |pitch| within this of pi/2 makes yaw/roll inseparable.
 GIMBAL_TOL = 1e-6
 
@@ -50,7 +54,6 @@ GIMBAL_TOL = 1e-6
 DEFAULT_EPS_Z = 1e-6
 
 _EYE3 = np.eye(3)
-_LAST_ROW = np.array([0.0, 0.0, 0.0, 1.0])
 
 
 def rotation_drift(rotation: np.ndarray) -> float:
@@ -113,12 +116,13 @@ def _checked_poses(first_frame: int, rotations: np.ndarray, translations: np.nda
     raise InvalidPoseError(f"{what}: non-finite translation")
 
 
-def _bad_last_rows(rows: np.ndarray) -> np.ndarray:
-    """Which last rows (..., 4) of 4x4 pose matrices are not (0, 0, 0, 1).
+def _is_last_row(a: float, b: float, c: float, d: float) -> bool:
+    """Whether (a, b, c, d), the last row of a 4x4 pose matrix, is (0, 0, 0, 1).
 
-    Written as "not <=" so that a row with a NaN entry is bad too.
+    Written with "<=" so that a row with a NaN entry is not.
     """
-    return ~(np.abs(rows - _LAST_ROW) <= POSE_ROW_TOL).all(axis=-1)
+    return (abs(a) <= POSE_ROW_TOL and abs(b) <= POSE_ROW_TOL and abs(c) <= POSE_ROW_TOL
+            and abs(d - 1.0) <= POSE_ROW_TOL)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -139,8 +143,8 @@ class CameraPose:
     translation: np.ndarray
 
     def __post_init__(self):
-        if self.frame_index < 0:
-            raise ValueError(f"frame_index must be >= 0, got {self.frame_index}")
+        if not 0 <= self.frame_index < FRAME_LIMIT:
+            raise ValueError(f"frame_index must be >= 0 and < 2**63, got {self.frame_index}")
         r = np.asarray(self.rotation, dtype=np.float64)
         if r.shape != (3, 3):
             raise ValueError(f"frame {self.frame_index}: rotation must be 3x3, got {r.shape}")
@@ -164,18 +168,11 @@ class CameraPose:
         m = np.asarray(matrix, dtype=np.float64)
         if m.shape != (4, 4):
             raise ValueError(f"expected 4x4 matrix, got {m.shape}")
-        if _bad_last_rows(m[3]):
+        if not _is_last_row(*m[3].tolist()):
             raise InvalidPoseError(
                 f"frame {frame_index}: last row {m[3].tolist()} is not (0, 0, 0, 1)"
             )
         return cls(frame_index, m[:3, :3], m[:3, 3])
-
-    def matrix(self) -> np.ndarray:
-        """4x4 homogeneous world-to-camera matrix."""
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
 
     @property
     def center(self) -> np.ndarray:
@@ -198,8 +195,10 @@ class PoseBatch:
     __slots__ = ("first_frame", "rotations", "translations", "_poses")
 
     def __init__(self, first_frame: int, rotations: np.ndarray, translations: np.ndarray):
-        if first_frame < 0:
-            raise ValueError(f"first_frame must be >= 0, got {first_frame}")
+        n = len(rotations)
+        if not 0 <= first_frame <= FRAME_LIMIT - n:
+            raise ValueError(f"first_frame must be >= 0 and first_frame + rows <= 2**63, "
+                             f"got {first_frame} + {n}")
         r, t = _checked_poses(first_frame, rotations, translations)
         self._set(int(first_frame), _frozen(r), _frozen(t))
 
@@ -334,9 +333,6 @@ class GravityYpr:
     yaw: float
     pitch: float
     roll: float
-
-    def matrix(self) -> np.ndarray:
-        return compose_gravity_ypr(self.yaw, self.pitch, self.roll)
 
 
 def _wrap_pi(angle: float) -> float:

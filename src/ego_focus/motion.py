@@ -31,8 +31,11 @@ from .geometry import (
 
 DEFAULT_FOCUS_N = 15
 SIGMA_WIDTH_FRACTION = 0.04
+# Kernel width multipliers (magnitude over window median) are clamped to
+# this range, and each kernel is cut off at this many of its sigmas.
 DEFAULT_S_CLAMP = (0.25, 4.0)
 DEFAULT_TRUNCATION_RADIUS = 3.0
+# Depth kept in unfocused regions by modulate_depth.
 DEFAULT_DEPTH_ALPHA = 0.15
 
 # Floors the median normalizer against an all-zero window. A floor
@@ -54,8 +57,6 @@ class FocusConfig:
     n_points: int = DEFAULT_FOCUS_N
     sigma_px: Optional[float] = None
     eps_z: float = DEFAULT_EPS_Z
-    s_clamp: tuple[float, float] = DEFAULT_S_CLAMP
-    truncation_radius: float = DEFAULT_TRUNCATION_RADIUS
     normalize: str = "peak"
     project_negative: str = "skip"
     smooth_positions: bool = False
@@ -67,11 +68,6 @@ class FocusConfig:
             raise ConfigError("sigma_px", f"must be finite and > 0, got {self.sigma_px}")
         if not 0 <= self.eps_z < np.inf:
             raise ConfigError("eps_z", f"must be finite and >= 0, got {self.eps_z}")
-        lo, hi = self.s_clamp
-        if not 0 < lo <= hi:
-            raise ConfigError("s_clamp", f"must satisfy 0 < lo <= hi, got {self.s_clamp}")
-        if not self.truncation_radius > 0:
-            raise ConfigError("truncation_radius", f"must be > 0, got {self.truncation_radius}")
         if self.normalize not in ("peak", "sum"):
             raise ConfigError("normalize", f"must be 'peak' or 'sum', got {self.normalize!r}")
         if self.project_negative not in ("skip", "mirror"):
@@ -149,9 +145,9 @@ def _render_arrays(us: np.ndarray, vs: np.ndarray, mags: np.ndarray,
     """Accumulate truncated separable Gaussian kernels and normalize.
 
     Each kernel is evaluated on the axis-aligned window
-    |du|, |dv| <= truncation_radius * sigma * s_i and is exactly zero
-    outside it; the largest neglected value is exp(-truncation^2 / 2)
-    (about 0.011 at the default radius of 3), pre-normalization.
+    |du|, |dv| <= DEFAULT_TRUNCATION_RADIUS * sigma * s_i and is exactly
+    zero outside it; the largest neglected value is exp(-3^2 / 2), about
+    0.011, pre-normalization.
 
     ``out`` and ``scratch`` are optional writable float64 arrays of
     shape (height, width) that a caller rendering map after map reuses:
@@ -167,10 +163,10 @@ def _render_arrays(us: np.ndarray, vs: np.ndarray, mags: np.ndarray,
         mid = ranked.size // 2
         median = ranked[mid] if ranked.size % 2 else (ranked[mid - 1] + ranked[mid]) / 2.0
         scales = mags / max(float(median), _MEDIAN_GUARD)
-        np.maximum(scales, cfg.s_clamp[0], out=scales)
-        np.minimum(scales, cfg.s_clamp[1], out=scales)
+        np.maximum(scales, DEFAULT_S_CLAMP[0], out=scales)
+        np.minimum(scales, DEFAULT_S_CLAMP[1], out=scales)
         sd = sigma * scales
-        half = cfg.truncation_radius * sd
+        half = DEFAULT_TRUNCATION_RADIUS * sd
         # Window bounds of every kernel, rows (u, x) and (v, y), clipped
         # to the image. They stay floats until the kernels that miss the
         # image are dropped, so a far-off centre (|u| near 1e300 when a_z

@@ -32,7 +32,6 @@ import numpy as np
 from .errors import ConfigError, StreamFormatError
 from .geometry import DEFAULT_EPS_Z, CameraPose, Intrinsics, PoseBatch
 from .motion import (
-    DEFAULT_DEPTH_ALPHA,
     DEFAULT_FOCUS_N,
     FocusConfig,
     MotionStream,
@@ -86,7 +85,6 @@ class RunConfig:
     scale_correction: bool = False
     map_scale: int = 1
     emit_float_maps: bool = False
-    depth_alpha: float = DEFAULT_DEPTH_ALPHA
     threads: Optional[int] = None
 
     def __post_init__(self):
@@ -99,8 +97,8 @@ class RunConfig:
         self.plan()
         self.focus_config()
 
-    def plan(self, total_frames: Optional[int] = None) -> WindowPlan:
-        return WindowPlan(self.window_size, self.overlap, total_frames)
+    def plan(self) -> WindowPlan:
+        return WindowPlan(self.window_size, self.overlap)
 
     def focus_config(self) -> FocusConfig:
         return FocusConfig(
@@ -192,14 +190,13 @@ class _FrameWriter:
     """
 
     def __init__(self, out_dir: str, map_k: Intrinsics, sigma: float, cfg: FocusConfig,
-                 emit_float: bool, depth_dir: Optional[str], depth_alpha: float):
+                 emit_float: bool, depth_dir: Optional[str]):
         self.out_dir = out_dir
         self.map_k = map_k
         self.sigma = sigma
         self.cfg = cfg
         self.emit_float = emit_float
         self.depth_dir = depth_dir
-        self.depth_alpha = depth_alpha
         self._buffers = threading.local()
         # Every map of a run has one size, so every map without a
         # contributing kernel has these bytes.
@@ -230,7 +227,7 @@ class _FrameWriter:
                     f"{depth_path}: depth map is {depth.shape[1]}x{depth.shape[0]}, "
                     f"the focus map {fmap.width}x{fmap.height}"
                 )
-            out = modulate_depth(depth.astype(np.float64), fmap, self.depth_alpha)
+            out = modulate_depth(depth.astype(np.float64), fmap)
             outputs.append((os.path.join(self.out_dir, streams.depth_output_name(frame)),
                             streams.raw_map_bytes(out.astype(np.float32),
                                                   streams.DEPTH_MAP_MAGIC)))
@@ -265,8 +262,7 @@ def run_stream_batches(batches: Iterable[Sequence[CameraPose]], intrinsics: Intr
     plan = cfg.plan()
     map_k = intrinsics.scaled(cfg.map_scale)
     sigma = fcfg.resolved_sigma(intrinsics.width) / cfg.map_scale
-    writer = _FrameWriter(out_dir, map_k, sigma, fcfg, cfg.emit_float_maps,
-                          depth_dir, cfg.depth_alpha)
+    writer = _FrameWriter(out_dir, map_k, sigma, fcfg, cfg.emit_float_maps, depth_dir)
     n_threads = resolve_threads(cfg.threads)
 
     state = StitchState()

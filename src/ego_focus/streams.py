@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
 import os
 import struct
 import sys
@@ -31,7 +30,7 @@ from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, InvalidPoseError, StreamDiscontinuityError, StreamFormatError
-from .geometry import CameraPose, Intrinsics, PoseBatch, _bad_last_rows
+from .geometry import FRAME_LIMIT, CameraPose, Intrinsics, PoseBatch, _is_last_row
 from .motion import MotionBlock
 from .simulate import TrajectoryTruth
 from .stitching import BoundaryResidual
@@ -140,8 +139,8 @@ def _pose_chunks(fh: IO[str]) -> Iterator[tuple[int, np.ndarray, list]]:
     (3, 3) array of truth position, velocity and acceleration, or None.
     Blank lines are skipped and frames must advance by exactly one. A
     line is checked in the order JSON, object, keys, frame, T_wc, last
-    row, truth, frame continuity; the last rows once per chunk. When a
-    line fails, the records before it come out first, then its error.
+    row, truth, frame continuity. When a line fails, the records before
+    it come out first, then its error.
     """
     prev = None
     line_no = 0
@@ -150,7 +149,6 @@ def _pose_chunks(fh: IO[str]) -> Iterator[tuple[int, np.ndarray, list]]:
         rows = np.empty((_CHUNK_ROWS, 16))
         truth_rows = np.empty((_CHUNK_ROWS, 3, 3))
         truth: list[Optional[np.ndarray]] = []
-        line_nos: list[int] = []  # of each row stored, a failing line's too
         error = None
         try:
             for line_no, line in lines:
@@ -170,10 +168,14 @@ def _pose_chunks(fh: IO[str]) -> Iterator[tuple[int, np.ndarray, list]]:
                         f"line {line_no}: missing key {err.args[0]!r}") from err
                 if type(frame) is not int or frame < 0:
                     raise StreamFormatError(f"line {line_no}: frame must be a non-negative integer")
+                if frame >= FRAME_LIMIT:
+                    raise StreamFormatError(f"line {line_no}: frame {frame} is not below 2**63")
                 n = len(truth)
                 if not _store(rows[n], flat):
                     raise StreamFormatError(f"line {line_no}: T_wc must be a list of 16 numbers")
-                line_nos.append(line_no)
+                if not _is_last_row(*flat[12:]):
+                    raise StreamFormatError(f"line {line_no}: last row of T_wc is "
+                                            f"{rows[n, 12:].tolist()}, expected (0, 0, 0, 1)")
                 tr = obj.get("truth")
                 if tr is not None:
                     if not isinstance(tr, dict):
@@ -198,14 +200,8 @@ def _pose_chunks(fh: IO[str]) -> Iterator[tuple[int, np.ndarray, list]]:
             # holds its bytes, so the newlines before the bad byte count too.
             bad_line = line_no + 1 + err.object.count(b"\n", 0, err.start)
             error = StreamFormatError(f"line {bad_line}: not UTF-8 ({err.reason})")
-        n = len(truth)
-        bad = _bad_last_rows(rows[:len(line_nos), 12:])
-        if bad.any():
-            n = int(bad.argmax())
-            error = StreamFormatError(f"line {line_nos[n]}: last row of T_wc is "
-                                      f"{rows[n, 12:].tolist()}, expected (0, 0, 0, 1)")
-        if n:  # the passed rows end at frame prev
-            yield prev + 1 - len(truth), rows[:n], truth[:n]
+        if truth:  # the passed rows end at frame prev
+            yield prev + 1 - len(truth), rows[:len(truth)], truth
         if error is not None:
             raise error
         if len(truth) < _CHUNK_ROWS:
@@ -301,7 +297,8 @@ def load_intrinsics(source: Union[str, os.PathLike, IO[str]]) -> Intrinsics:
     for key in ("fx", "fy", "cx", "cy"):
         if key not in obj:
             raise ConfigError(key, "missing from intrinsics")
-        if type(obj[key]) not in _NUMBER_TYPES or not math.isfinite(obj[key]):
+        # Compared exactly, so an int too large for float64 fails too, as NaN does.
+        if type(obj[key]) not in _NUMBER_TYPES or not abs(obj[key]) <= sys.float_info.max:
             raise ConfigError(key, f"must be a finite number, got {obj[key]!r}")
         values[key] = float(obj[key])
     for key in ("width", "height"):
@@ -344,9 +341,8 @@ def pgm_bytes(values: np.ndarray, scratch: Optional[np.ndarray] = None) -> bytes
     return b"P5\n%d %d\n255\n" % (w, h) + scaled.astype(np.uint8).tobytes()
 
 
-def write_pgm(values: np.ndarray, path: Union[str, os.PathLike],
-              scratch: Optional[np.ndarray] = None) -> None:
-    atomic_write_bytes(path, pgm_bytes(values, scratch))
+def write_pgm(values: np.ndarray, path: Union[str, os.PathLike]) -> None:
+    atomic_write_bytes(path, pgm_bytes(values))
 
 
 def read_pgm(path: Union[str, os.PathLike]) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -6,9 +7,9 @@ import subprocess
 import numpy as np
 import pytest
 
-from ego_focus.cli import main
+from ego_focus.cli import build_parser, main
 from ego_focus.streams import read_pgm, write_depth_map, write_intrinsics
-from ego_focus import Intrinsics
+from ego_focus import FocusConfig, Intrinsics, RunConfig
 
 WIDE = Intrinsics(fx=10.0, fy=10.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -168,6 +169,38 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "last row" in err
 
+    @pytest.mark.parametrize("first, bad_line", [(2**63 - 5, 6), (2**63, 1)])
+    def test_frames_from_2_to_the_63_fail_cleanly(self, tmp_path, capsys, first, bad_line):
+        k_path = tmp_path / "k.json"
+        write_intrinsics(Intrinsics(10.0, 10.0, 2.0, 2.0, 4, 4), k_path)
+        poses = tmp_path / "poses.jsonl"
+        rows = [[1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, i * i, 0, 0, 0, 1] for i in range(10)]
+        poses.write_text("".join(json.dumps({"frame": first + i, "T_wc": row}) + "\n"
+                                 for i, row in enumerate(rows)))
+        out_dir = tmp_path / "o"
+        rc = main([
+            "run", "--poses", str(poses), "--intrinsics", str(k_path),
+            "--out-dir", str(out_dir), "--window-size", "4", "--overlap", "1",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            f"error: line {bad_line}: frame {2**63} is not below 2**63\n"
+        # Only maps of frames below 2**63, and no CSV, as after any failed run.
+        names = sorted(os.listdir(out_dir))
+        assert names == [f"focus_{f}.pgm" for f in range(first + 2, 2**63 - 1)]
+
+    def test_intrinsics_int_beyond_float64_fails_cleanly(self, tmp_path, capsys):
+        poses = sim(tmp_path)
+        k_path = tmp_path / "k.json"
+        k_path.write_text('{"fx": 1%s, "fy": 10, "cx": 1, "cy": 1, "width": 4, "height": 4}'
+                          % ("0" * 400))
+        rc = main([
+            "run", "--poses", str(poses), "--intrinsics", str(k_path),
+            "--out-dir", str(tmp_path / "o"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: fx: must be a finite number, got 1000")
+
     def test_oversized_depth_header_fails_cleanly(self, tmp_path, capsys):
         poses = sim(tmp_path)
         k_path = tmp_path / "k.json"
@@ -283,6 +316,21 @@ class TestBench:
 
 
 class TestParser:
+    def test_configuration_surface_is_pinned(self):
+        # A change that adds or drops a setting has to change these lists on purpose.
+        assert [f.name for f in dataclasses.fields(RunConfig)] == [
+            "window_size", "overlap", "focus_n", "sigma_px", "eps_z", "normalize",
+            "project_negative", "smooth_positions", "anchor_mode", "scale_correction",
+            "map_scale", "emit_float_maps", "threads"]
+        assert [f.name for f in dataclasses.fields(FocusConfig)] == [
+            "n_points", "sigma_px", "eps_z", "normalize", "project_negative", "smooth_positions"]
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        assert [a.option_strings[-1] for a in sub.choices["run"]._actions] == [
+            "--help", "--poses", "--intrinsics", "--out-dir", "--window-size", "--overlap",
+            "--focus-n", "--sigma-px", "--eps-z", "--normalize", "--project-negative",
+            "--smooth-positions", "--anchor-mode", "--scale-correction", "--residuals",
+            "--map-scale", "--depth-dir", "--emit-float-maps", "--threads"]
+
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc_info:
             main(["--help"])

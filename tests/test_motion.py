@@ -16,7 +16,12 @@ from ego_focus import (
     render_focus_map,
     rotation_about_gravity,
 )
-from ego_focus.motion import FocusMap, _render_arrays
+from ego_focus.motion import (
+    DEFAULT_S_CLAMP,
+    DEFAULT_TRUNCATION_RADIUS,
+    FocusMap,
+    _render_arrays,
+)
 
 K = Intrinsics(fx=500.0, fy=500.0, cx=200.0, cy=150.0, width=400, height=300)
 
@@ -205,7 +210,7 @@ class TestRenderFocusMap:
         np.testing.assert_allclose(two.values, one.values, rtol=0, atol=1e-12)
 
     def test_kernel_exactly_zero_outside_truncation(self):
-        cfg = FocusConfig(sigma_px=16.0, truncation_radius=3.0)
+        cfg = FocusConfig(sigma_px=16.0)
         fmap = render_focus_map([point(200.0, 150.0)], K, cfg)
         # cutoff is 3 * sigma * s = 48 pixels from the center
         assert fmap.values[150, 200 + 47] > 0.0
@@ -239,7 +244,7 @@ class TestRenderFocusMap:
         assert val_big > val_small
 
     def test_upper_clamp_bounds_kernel_width(self):
-        cfg = FocusConfig(sigma_px=16.0, s_clamp=(0.25, 4.0))
+        cfg = FocusConfig(sigma_px=16.0)
         # three unit magnitudes pin the median at 1, so the huge outlier
         # clamps to s=4 and its cutoff is 3 * 16 * 4 = 192 pixels
         small = [point(10.0, 10.0 * i, mag=1.0) for i in range(1, 4)]
@@ -275,10 +280,10 @@ def oracle_render(us, vs, mags, width, height, sigma, cfg):
     contributing = 0
     if len(us):
         median = float(np.median(mags))
-        scales = np.clip(mags / max(median, 1e-12), cfg.s_clamp[0], cfg.s_clamp[1])
+        scales = np.clip(mags / max(median, 1e-12), *DEFAULT_S_CLAMP)
         for u, v, s in zip(us, vs, scales):
             sd = sigma * s
-            half = cfg.truncation_radius * sd
+            half = DEFAULT_TRUNCATION_RADIUS * sd
             x0 = max(0, math.ceil(u - half))
             x1 = min(width - 1, math.floor(u + half))
             y0 = max(0, math.ceil(v - half))
@@ -408,10 +413,6 @@ class TestFocusConfigValidation:
             FocusConfig(sigma_px=0.0)
         with pytest.raises(ConfigError, match="eps_z"):
             FocusConfig(eps_z=-1.0)
-        with pytest.raises(ConfigError, match="s_clamp"):
-            FocusConfig(s_clamp=(0.5, 0.25))
-        with pytest.raises(ConfigError, match="truncation_radius"):
-            FocusConfig(truncation_radius=0.0)
         with pytest.raises(ConfigError, match="normalize"):
             FocusConfig(normalize="max")
         with pytest.raises(ConfigError, match="project_negative"):

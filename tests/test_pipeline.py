@@ -137,7 +137,8 @@ class TestRunConfig:
         assert cfg.window_size == 60
         assert cfg.overlap == 5
         assert cfg.focus_n == 15
-        assert cfg.plan(600).n_windows == 11
+        assert cfg.plan().stride == 55
+        assert plan_windows(600, cfg.window_size, cfg.overlap).n_windows == 11
         assert cfg.focus_config().n_points == 15
 
     def test_bad_values_rejected_eagerly(self):
@@ -333,7 +334,7 @@ class TestOutputWrites:
 
     def test_zero_maps_reuse_one_encoding(self):
         k = Intrinsics(fx=10.0, fy=10.0, cx=40.0, cy=30.0, width=80, height=60)
-        writer = _FrameWriter("out", k, 3.2, FocusConfig(), False, None, 0.15)
+        writer = _FrameWriter("out", k, 3.2, FocusConfig(), False, None)
         assert writer.zero_pgm == streams.pgm_bytes(np.zeros((60, 80)))
         empty = np.empty(0)
         contributing, outputs = writer(7, empty, empty, empty)

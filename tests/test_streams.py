@@ -265,11 +265,12 @@ DEFECTS = {
 
 class TestPoseChunks:
     @settings(max_examples=60, deadline=None)
-    @given(first=st.integers(0, 2 ** 62),
+    @given(first=st.integers(0, 2 ** 63 - 8),
            records=st.lists(st.tuples(
                st.lists(st.floats(allow_nan=False), min_size=12, max_size=12),
                st.none() | st.lists(st.floats(allow_nan=False), min_size=9, max_size=9)),
                max_size=8))
+    @example(first=2 ** 63 - 8, records=[([1.0, 0.0, 0.0, 0.0] * 3, None)] * 8)
     def test_write_then_load_round_trip(self, first, records):
         written = []
         for i, (top, truth) in enumerate(records):
