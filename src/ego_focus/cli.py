@@ -67,16 +67,33 @@ def _add_sim_parser(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--noise-kind", choices=["bob", "white"], default="bob")
 
 
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
+def _sizes(text: str) -> list[int]:
+    return [_positive_int(s) for s in text.split(",") if s]
+
+
+def _resolutions(text: str) -> list[tuple[int, int]]:
+    dims = [token.lower().split("x") for token in text.split(",") if token]
+    if any(len(wh) != 2 for wh in dims):
+        raise argparse.ArgumentTypeError(f"expected comma-separated WxH, got {text!r}")
+    return [(_positive_int(w), _positive_int(h)) for w, h in dims]
+
+
 def _add_bench_parser(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("bench", help="measure math/render throughput and memory")
     p.add_argument("--out", default=None, metavar="PATH", help="write report CSV here")
-    p.add_argument("--stream-sizes", default=",".join(str(s) for s in DEFAULT_STREAM_SIZES),
+    p.add_argument("--stream-sizes", type=_sizes, default=DEFAULT_STREAM_SIZES,
                    help="comma-separated pose-stream lengths for the math stage")
-    p.add_argument("--resolutions",
-                   default=",".join(f"{w}x{h}" for w, h in DEFAULT_RESOLUTIONS),
+    p.add_argument("--resolutions", type=_resolutions, default=DEFAULT_RESOLUTIONS,
                    help="comma-separated WxH render resolutions")
-    p.add_argument("--maps", type=int, default=40, help="maps rendered per resolution")
-    p.add_argument("--points", type=int, default=DEFAULT_FOCUS_N, help="points per map")
+    p.add_argument("--maps", type=_positive_int, default=40, help="maps rendered per resolution")
+    p.add_argument("--points", type=_positive_int, default=DEFAULT_FOCUS_N,
+                   help="points per map")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -130,14 +147,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    sizes = [int(s) for s in args.stream_sizes.split(",") if s]
-    resolutions = []
-    for token in args.resolutions.split(","):
-        if not token:
-            continue
-        w, h = token.lower().split("x")
-        resolutions.append((int(w), int(h)))
-    rows = bench(stream_sizes=sizes, resolutions=resolutions,
+    rows = bench(stream_sizes=args.stream_sizes, resolutions=args.resolutions,
                  maps_per_resolution=args.maps, points_per_map=args.points)
     streams.write_bench_csv(rows, args.out if args.out else sys.stdout)
     return 0

@@ -22,8 +22,8 @@ repaired by polar projection; anything worse, and any reflection, is
 rejected.
 
 Streams of poses travel as PoseBatch, one structure of arrays per run
-of consecutive frames, validated once per batch; CameraPose is the
-single-pose view.
+of consecutive frames, validated once per batch; CameraPose is a
+batch of one row.
 """
 
 from __future__ import annotations
@@ -131,68 +131,19 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class CameraPose:
-    """World-to-camera pose of one frame: ``x_cam = R @ x_world + t``.
-
-    Two poses are equal when their frame and every array entry agree.
-    """
-
-    frame_index: int
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        if not 0 <= self.frame_index < FRAME_LIMIT:
-            raise ValueError(f"frame_index must be >= 0 and < 2**63, got {self.frame_index}")
-        r = np.asarray(self.rotation, dtype=np.float64)
-        if r.shape != (3, 3):
-            raise ValueError(f"frame {self.frame_index}: rotation must be 3x3, got {r.shape}")
-        t = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        r, t = _checked_poses(self.frame_index, r[None], t[None])
-        object.__setattr__(self, "rotation", _frozen(r[0]))
-        object.__setattr__(self, "translation", _frozen(t[0]))
-
-    def __eq__(self, other):
-        if not isinstance(other, CameraPose):
-            return NotImplemented
-        return (self.frame_index == other.frame_index
-                and np.array_equal(self.rotation, other.rotation)
-                and np.array_equal(self.translation, other.translation))
-
-    __hash__ = None
-
-    @classmethod
-    def from_matrix(cls, frame_index: int, matrix: np.ndarray) -> "CameraPose":
-        """Build from a 4x4 world-to-camera matrix; checks the last row."""
-        m = np.asarray(matrix, dtype=np.float64)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected 4x4 matrix, got {m.shape}")
-        if not _is_last_row(*m[3].tolist()):
-            raise InvalidPoseError(
-                f"frame {frame_index}: last row {m[3].tolist()} is not (0, 0, 0, 1)"
-            )
-        return cls(frame_index, m[:3, :3], m[:3, 3])
-
-    @property
-    def center(self) -> np.ndarray:
-        """Camera center in world coordinates, ``-R.T @ t``."""
-        return -self.rotation.T @ self.translation
-
-
 class PoseBatch:
     """World-to-camera poses of consecutive frames, as one structure of arrays.
 
     Row i is frame ``first_frame + i``: ``rotations[i]`` (3x3) and
-    ``translations[i]`` (3,). The constructor applies CameraPose's drift
-    policy to all rows at once and stores read-only copies. A batch is
-    also a read-only sequence of CameraPose: ``batch[i]`` is the pose of
-    row i (built on first access and kept, so ``batch[i] is batch[i]``),
-    a slice with step 1 is a PoseBatch sharing the same arrays, any other
-    slice is a list, and ``batch + poses`` is the list of both sides' poses.
+    ``translations[i]`` (3,). The constructor applies the drift policy
+    to all rows at once and stores read-only copies. A batch is also a
+    read-only sequence of CameraPose: ``batch[i]`` is a one-row view of
+    row i (a fresh object each time, equal by value), a slice with step
+    1 is a PoseBatch sharing the same arrays, any other slice is a list,
+    and ``batch + poses`` is the list of both sides' poses.
     """
 
-    __slots__ = ("first_frame", "rotations", "translations", "_poses")
+    __slots__ = ("first_frame", "rotations", "translations")
 
     def __init__(self, first_frame: int, rotations: np.ndarray, translations: np.ndarray):
         n = len(rotations)
@@ -200,13 +151,9 @@ class PoseBatch:
             raise ValueError(f"first_frame must be >= 0 and first_frame + rows <= 2**63, "
                              f"got {first_frame} + {n}")
         r, t = _checked_poses(first_frame, rotations, translations)
-        self._set(int(first_frame), _frozen(r), _frozen(t))
-
-    def _set(self, first_frame: int, rotations: np.ndarray, translations: np.ndarray) -> None:
-        self.first_frame = first_frame
-        self.rotations = rotations
-        self.translations = translations
-        self._poses = None
+        self.first_frame = int(first_frame)
+        self.rotations = _frozen(r)
+        self.translations = _frozen(t)
 
     @classmethod
     def _wrap(cls, first_frame: int, rotations: np.ndarray,
@@ -216,38 +163,32 @@ class PoseBatch:
         rotations.flags.writeable = False
         translations.flags.writeable = False
         self = object.__new__(cls)
-        self._set(first_frame, rotations, translations)
+        self.first_frame = first_frame
+        self.rotations = rotations
+        self.translations = translations
         return self
 
-    @classmethod
-    def from_poses(cls, poses: Sequence[CameraPose]) -> "PoseBatch":
-        """Stack single poses whose frames follow one another; a batch comes back as is."""
-        if isinstance(poses, PoseBatch):
-            return poses
-        frames = [p.frame_index for p in poses]
-        for prev, cur in zip(frames, frames[1:]):
-            if cur != prev + 1:
-                raise PlanError(f"batch frames not contiguous: {prev} followed by {cur}")
-        if not frames:
-            return cls._wrap(0, np.empty((0, 3, 3)), np.empty((0, 3)))
-        return cls._wrap(frames[0], np.stack([p.rotation for p in poses]),
-                         np.stack([p.translation for p in poses]))
+    @staticmethod
+    def from_poses(poses: Sequence["PoseBatch"]) -> "PoseBatch":
+        """Join poses (or batches) whose frames follow one another; a batch comes back as is."""
+        return poses if isinstance(poses, PoseBatch) else PoseBatch.concat(list(poses))
 
-    @classmethod
-    def concat(cls, batches: Sequence["PoseBatch"]) -> "PoseBatch":
+    @staticmethod
+    def concat(batches: Sequence["PoseBatch"]) -> "PoseBatch":
         """Join batches whose frames follow one another into one batch."""
         parts = [b for b in batches if len(b)]
         if len(parts) == 1:
             return parts[0]
         if not parts:
-            return batches[0] if batches else cls.from_poses([])
+            return batches[0] if batches else \
+                PoseBatch._wrap(0, np.empty((0, 3, 3)), np.empty((0, 3)))
         for prev, cur in zip(parts, parts[1:]):
             if cur.first_frame != prev.end_frame:
                 raise PlanError(f"batch frames not contiguous: {prev.end_frame - 1} "
                                 f"followed by {cur.first_frame}")
-        return cls._wrap(parts[0].first_frame,
-                         np.concatenate([b.rotations for b in parts]),
-                         np.concatenate([b.translations for b in parts]))
+        return PoseBatch._wrap(parts[0].first_frame,
+                               np.concatenate([b.rotations for b in parts]),
+                               np.concatenate([b.translations for b in parts]))
 
     @property
     def end_frame(self) -> int:
@@ -256,11 +197,7 @@ class PoseBatch:
 
     @property
     def centers(self) -> np.ndarray:
-        """Camera centers in world coordinates, (n, 3).
-
-        Row i is bit for bit ``self[i].center``: the same matrix product,
-        taken for all rows at once.
-        """
+        """Camera centers ``-R.T @ t`` in world coordinates, (n, 3)."""
         return batch_centers(self.rotations, self.translations)
 
     def __len__(self) -> int:
@@ -275,13 +212,8 @@ class PoseBatch:
             return PoseBatch._wrap(self.first_frame + start, self.rotations[start:stop],
                                    self.translations[start:stop])
         i = range(len(self))[key]
-        if self._poses is None:
-            self._poses = [None] * len(self)
-        pose = self._poses[i]
-        if pose is None:
-            pose = CameraPose(self.first_frame + i, self.rotations[i], self.translations[i])
-            self._poses[i] = pose
-        return pose
+        return CameraPose._wrap(self.first_frame + i, self.rotations[i:i + 1],
+                                self.translations[i:i + 1])
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -306,11 +238,63 @@ class PoseBatch:
                             np.array(self.translations)))
 
     def __repr__(self) -> str:
-        return f"PoseBatch(frames {self.first_frame}..{self.end_frame - 1})"
+        return f"{type(self).__name__}(frames {self.first_frame}..{self.end_frame - 1})"
+
+
+class CameraPose(PoseBatch):
+    """World-to-camera pose of one frame: ``x_cam = R @ x_world + t``.
+
+    A PoseBatch of exactly one row, so it validates, compares and stacks
+    like any batch.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, frame_index: int, rotation: np.ndarray, translation: np.ndarray):
+        if not 0 <= frame_index < FRAME_LIMIT:
+            raise ValueError(f"frame_index must be >= 0 and < 2**63, got {frame_index}")
+        r = np.asarray(rotation, dtype=np.float64)
+        if r.shape != (3, 3):
+            raise ValueError(f"frame {frame_index}: rotation must be 3x3, got {r.shape}")
+        t = np.asarray(translation, dtype=np.float64).reshape(3)
+        PoseBatch.__init__(self, frame_index, r[None], t[None])
+
+    @classmethod
+    def from_matrix(cls, frame_index: int, matrix: np.ndarray) -> "CameraPose":
+        """Build from a 4x4 world-to-camera matrix; checks the last row."""
+        m = np.asarray(matrix, dtype=np.float64)
+        if m.shape != (4, 4):
+            raise ValueError(f"expected 4x4 matrix, got {m.shape}")
+        if not _is_last_row(*m[3].tolist()):
+            raise InvalidPoseError(
+                f"frame {frame_index}: last row {m[3].tolist()} is not (0, 0, 0, 1)"
+            )
+        return cls(frame_index, m[:3, :3], m[:3, 3])
+
+    @property
+    def frame_index(self) -> int:
+        return self.first_frame
+
+    @property
+    def rotation(self) -> np.ndarray:
+        return self.rotations[0]
+
+    @property
+    def translation(self) -> np.ndarray:
+        return self.translations[0]
+
+    @property
+    def center(self) -> np.ndarray:
+        """Camera center in world coordinates, ``-R.T @ t``."""
+        return self.centers[0]
+
+    def __reduce__(self):
+        return (CameraPose, (self.first_frame, np.array(self.rotation),
+                             np.array(self.translation)))
 
 
 def batch_centers(rotations: np.ndarray, translations: np.ndarray) -> np.ndarray:
-    """Camera centers ``-R.T @ t`` of stacked poses, bit for bit CameraPose.center."""
+    """Camera centers ``-R.T @ t`` of stacked poses."""
     return -np.matmul(translations[:, None, :], rotations)[:, 0, :]
 
 

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import ConfigError
 from .geometry import (
     DEFAULT_EPS_Z,
-    CameraPose,
     Intrinsics,
     PoseBatch,
     project_pinhole_many,
@@ -302,7 +301,7 @@ class MotionStream:
                 out[i] = ((raw[i] + raw[i - 1]) + raw[i - 2]) / 3.0
         return out
 
-    def push(self, poses: Sequence[CameraPose]) -> MotionBlock:
+    def push(self, poses: PoseBatch) -> MotionBlock:
         """Feed the next poses (a PoseBatch, or poses of consecutive frames)."""
         batch = PoseBatch.from_poses(poses)
         if len(batch) == 0:

@@ -25,12 +25,12 @@ import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .errors import ConfigError, StreamFormatError
-from .geometry import DEFAULT_EPS_Z, CameraPose, Intrinsics, PoseBatch
+from .geometry import DEFAULT_EPS_Z, Intrinsics, PoseBatch
 from .motion import (
     DEFAULT_FOCUS_N,
     FocusConfig,
@@ -136,38 +136,27 @@ class RunSummary:
         return [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
 
 
-def iter_windows(poses: Iterable[Union[CameraPose, PoseBatch]],
+def iter_windows(poses: Iterable[PoseBatch],
                  window_size: int = DEFAULT_WINDOW_SIZE,
                  overlap: int = DEFAULT_OVERLAP) -> Iterator[PoseBatch]:
     """Chunk a flat pose stream into the planned overlapping windows.
 
-    The stream may hand over single poses, PoseBatch runs of
-    consecutive frames, or a mix; the windows are the same either way.
-    Matches WindowPlan enumeration: full windows share `overlap`
-    frames; a final partial window is emitted only if it carries new
-    frames beyond the shared ones. A frame that does not follow the
-    previous one raises PlanError.
+    The stream hands over PoseBatch runs of consecutive frames, of any
+    length (a CameraPose is a batch of one); the windows are the same
+    however it is chunked. Matches WindowPlan enumeration: full windows
+    share `overlap` frames; a final partial window is emitted only if it
+    carries new frames beyond the shared ones. A frame that does not
+    follow the previous one raises PlanError.
     """
     stride = WindowPlan(window_size, overlap).stride  # validates the pair
     pieces: list[PoseBatch] = []   # the current buffer, in frame order
-    singles: list[CameraPose] = []  # single poses not yet stacked
-    held = 0                        # frames in pieces + singles
+    held = 0                        # frames in pieces
     yielded = False
     for item in poses:
-        if isinstance(item, PoseBatch):
-            if singles:
-                pieces.append(PoseBatch.from_poses(singles))
-                singles = []
-            pieces.append(item)
-            held += len(item)
-        else:
-            singles.append(item)
-            held += 1
+        pieces.append(item)
+        held += len(item)
         if held < window_size:
             continue
-        if singles:
-            pieces.append(PoseBatch.from_poses(singles))
-            singles = []
         buf = PoseBatch.concat(pieces)
         start = 0
         while held - start >= window_size:
@@ -175,8 +164,6 @@ def iter_windows(poses: Iterable[Union[CameraPose, PoseBatch]],
             yielded = True
             start += stride
         pieces, held = [buf[start:]], held - start
-    if singles:
-        pieces.append(PoseBatch.from_poses(singles))
     carried = overlap if yielded else 0
     if held > carried or (held and not yielded):
         yield PoseBatch.concat(pieces)
@@ -234,19 +221,18 @@ class _FrameWriter:
         return fmap.contributing_points, outputs
 
 
-def run_stream(poses: Iterable[Union[CameraPose, PoseBatch]], intrinsics: Intrinsics,
+def run_stream(poses: Iterable[PoseBatch], intrinsics: Intrinsics,
                cfg: RunConfig, out_dir: str, residuals_path: Optional[str] = None,
                depth_dir: Optional[str] = None) -> RunSummary:
     """Run the full pipeline on a flat, contiguous pose stream.
 
-    The stream may hand over single poses or PoseBatch runs (see
-    iter_windows).
+    The stream hands over PoseBatch runs of any length (see iter_windows).
     """
     return run_stream_batches(iter_windows(poses, cfg.window_size, cfg.overlap), intrinsics,
                               cfg, out_dir, residuals_path=residuals_path, depth_dir=depth_dir)
 
 
-def run_stream_batches(batches: Iterable[Sequence[CameraPose]], intrinsics: Intrinsics,
+def run_stream_batches(batches: Iterable[PoseBatch], intrinsics: Intrinsics,
                        cfg: RunConfig, out_dir: str,
                        residuals_path: Optional[str] = None,
                        depth_dir: Optional[str] = None) -> RunSummary:

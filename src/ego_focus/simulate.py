@@ -86,6 +86,8 @@ class ScenarioSpec:
         object.__setattr__(self, "kind", canonical_scenario(self.kind))
         if self.frames < 1:
             raise ConfigError("frames", f"must be >= 1, got {self.frames}")
+        if self.seed < 0:
+            raise ConfigError("seed", f"must be >= 0, got {self.seed}")
         if self.kind in ("circular_arc", "head_yaw_divergence"):
             if self.radius <= 0 or self.omega == 0.0:
                 raise ConfigError("radius" if self.radius <= 0 else "omega",
@@ -309,7 +311,7 @@ def oracle_focus_point(a_world: np.ndarray, pose: CameraPose, k: Intrinsics,
     return float(h[0] / h[2]), float(h[1] / h[2])
 
 
-def perturb_batches(batches: Sequence[Sequence[CameraPose]],
+def perturb_batches(batches: Sequence[PoseBatch],
                     yaw_range: float,
                     translation_range: float,
                     pitch_range: float = 0.0,

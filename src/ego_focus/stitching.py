@@ -22,14 +22,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateOrientationError, PlanError
 from .geometry import (
     ORTHONORMAL_TOL,
-    CameraPose,
     GravityYpr,
     PoseBatch,
     RigidTransform,
@@ -243,7 +242,7 @@ def _estimate_scale(prev_centers: np.ndarray, local_centers: np.ndarray) -> floa
     return float(np.median(prev_seg[usable] / local_seg[usable]))
 
 
-def stitch_step(state: StitchState, batch: Sequence[CameraPose], plan: WindowPlan,
+def stitch_step(state: StitchState, batch: PoseBatch, plan: WindowPlan,
                 anchor_mode: str = "last",
                 scale_correction: bool = False) -> tuple[StitchState, PoseBatch]:
     """Fold one window into the global stream.

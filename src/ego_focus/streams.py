@@ -154,7 +154,7 @@ def _pose_chunks(fh: IO[str]) -> Iterator[tuple[int, np.ndarray, list]]:
             for line_no, line in lines:
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError as err:
+                except (ValueError, RecursionError) as err:  # bad syntax, too many digits, too deep
                     if not line.strip():
                         continue
                     raise StreamFormatError(f"line {line_no}: invalid JSON: {err}") from err
@@ -269,7 +269,7 @@ def write_pose_stream(target: Union[str, os.PathLike, IO[str]],
     return count
 
 
-def records_from_poses(poses: Sequence[CameraPose],
+def records_from_poses(poses: PoseBatch,
                        truth: Optional[TrajectoryTruth] = None) -> Iterator[PoseStreamRecord]:
     """Pair poses of consecutive frames with per-frame truth rows for serialization."""
     batch = PoseBatch.from_poses(poses)
@@ -289,7 +289,7 @@ def load_intrinsics(source: Union[str, os.PathLike, IO[str]]) -> Intrinsics:
     try:
         with _text_file(source, "r") as fh:
             obj = json.load(fh)
-    except ValueError as err:  # malformed JSON or text that is not UTF-8
+    except (ValueError, RecursionError) as err:  # bad syntax or UTF-8, too many digits, too deep
         raise ConfigError("intrinsics", f"invalid JSON: {err}") from err
     if not isinstance(obj, dict):
         raise ConfigError("intrinsics", "expected a JSON object")

@@ -35,6 +35,15 @@ class TestSim:
         assert set(first["truth"]) == {"position", "velocity", "acceleration"}
         assert "wrote 90 frames" in capsys.readouterr().out
 
+    def test_negative_seed_fails_cleanly(self, tmp_path, capsys):
+        rc = main([
+            "sim", "--scenario", "arc", "--frames", "10", "--seed", "-1",
+            "--out", str(tmp_path / "x.jsonl"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: seed: must be >= 0")
+        assert os.listdir(tmp_path) == []
+
     def test_unknown_scenario_fails_cleanly(self, tmp_path, capsys):
         rc = main([
             "sim", "--scenario", "warp", "--frames", "10",
@@ -124,6 +133,17 @@ class TestRun:
         ])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: intrinsics: invalid JSON")
+
+    def test_intrinsics_nested_too_deep_fails_cleanly(self, tmp_path, capsys):
+        poses = sim(tmp_path)
+        k_path = tmp_path / "k.json"
+        k_path.write_text("[" * 200_000)
+        rc = main([
+            "run", "--poses", str(poses), "--intrinsics", str(k_path),
+            "--out-dir", str(tmp_path / "o"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: intrinsics: invalid JSON: ")
 
     def test_non_utf8_pose_stream_fails_cleanly(self, tmp_path, capsys):
         poses = tmp_path / "poses.jsonl"
@@ -229,13 +249,13 @@ class TestRun:
         k_path = tmp_path / "k.json"
         write_intrinsics(WIDE, k_path)
         built = []
-        real = CameraPose.__post_init__
+        real = CameraPose.__init__
 
-        def counted(self):
-            built.append(self.frame_index)
-            real(self)
+        def counted(self, frame_index, *args):
+            built.append(frame_index)
+            real(self, frame_index, *args)
 
-        monkeypatch.setattr(CameraPose, "__post_init__", counted)
+        monkeypatch.setattr(CameraPose, "__init__", counted)
         rc = main([
             "run", "--poses", str(poses), "--intrinsics", str(k_path),
             "--out-dir", str(tmp_path / "o"),
@@ -260,6 +280,27 @@ class TestRun:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: frame 70: rotation drift")
         # windows 0..29 and 25..54 were complete before frame 70 was reached
+        assert (out_dir / "focus_000054.pgm").exists()
+
+    @pytest.mark.parametrize("bad_line", [
+        lambda line: "[" * 200_000,
+        lambda line: line.replace("[", "[" + "9" * 5000 + ", ", 1),
+    ], ids=["nested_too_deep", "integer_past_digit_limit"])
+    def test_json_the_decoder_rejects_fails_after_earlier_maps(self, tmp_path, capsys,
+                                                               bad_line):
+        poses = sim(tmp_path)
+        lines = poses.read_text().splitlines()
+        lines[70] = bad_line(lines[70])
+        poses.write_text("\n".join(lines) + "\n")
+        k_path = tmp_path / "k.json"
+        write_intrinsics(WIDE, k_path)
+        out_dir = tmp_path / "o"
+        rc = main([
+            "run", "--poses", str(poses), "--intrinsics", str(k_path),
+            "--out-dir", str(out_dir), "--window-size", "30", "--overlap", "5",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: line 71: invalid JSON: ")
         assert (out_dir / "focus_000054.pgm").exists()
 
     @pytest.mark.parametrize("flag,value", [
@@ -305,6 +346,20 @@ class TestBench:
         assert stages == ["pose_math", "render"]
         throughputs = [float(line.split(",")[2]) for line in lines[1:]]
         assert all(t > 0 for t in throughputs)
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--stream-sizes", "abc"), ("--stream-sizes", "0"), ("--resolutions", "640"),
+        ("--resolutions", "640x480x3"), ("--resolutions", "640x-480"), ("--points", "-1"),
+        ("--points", "0"), ("--maps", "-3"), ("--maps", "0"),
+    ])
+    def test_bad_argument_exits_2_before_any_probe(self, tmp_path, capsys, flag, value):
+        report = tmp_path / "report.csv"
+        with pytest.raises(SystemExit) as exc_info:
+            main(["bench", "--stream-sizes", "1500", "--resolutions", "32x24",
+                  "--maps", "2", "--points", "4", flag, value, "--out", str(report)])
+        assert exc_info.value.code == 2
+        assert f"argument {flag}: expected" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_bench_to_stdout(self, capsys):
         rc = main([

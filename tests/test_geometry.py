@@ -194,7 +194,7 @@ class TestPoseBatchSequence:
         b = self.batch()
         assert len(b) == 6 and b.end_frame == 16
         assert [p.frame_index for p in b] == list(range(10, 16))
-        assert b[2] is b[2]
+        assert b[2] == b[2]
         assert b[-1].frame_index == 15
         np.testing.assert_array_equal(b.centers, np.stack([p.center for p in b]))
         with pytest.raises(ValueError):
@@ -225,6 +225,30 @@ class TestPoseBatchSequence:
         back = pickle.loads(pickle.dumps(b))
         assert back == b
         assert back.rotations.tobytes() == b.rotations.tobytes()
+
+    def test_row_is_a_one_row_batch_view(self):
+        b = self.batch()
+        row = b[3]
+        assert isinstance(row, CameraPose) and isinstance(row, PoseBatch)
+        assert len(row) == 1 and row.first_frame == row.frame_index == 13
+        assert np.shares_memory(row.rotations, b.rotations)
+        assert row == CameraPose(13, b.rotations[3], b.translations[3])
+        assert row == b[3:4] and list(row) == [row]
+
+    def test_pickled_camera_pose_stays_a_camera_pose(self):
+        import pickle
+
+        pose = self.batch()[4]
+        back = pickle.loads(pickle.dumps(pose))
+        assert type(back) is CameraPose
+        assert back == pose and back.frame_index == 14
+        assert back.rotation.tobytes() == pose.rotation.tobytes()
+
+    def test_center_is_centers_row_bit_for_bit(self):
+        b = self.batch(n=50)
+        for i, pose in enumerate(b):
+            assert pose.center.tobytes() == pose.centers[0].tobytes()
+            assert pose.center.tobytes() == b.centers[i].tobytes()
 
 
 class TestInversionAndCenters:

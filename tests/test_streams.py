@@ -241,6 +241,9 @@ def _set_entry(index, value):
 
 DEFECTS = {
     "json": (lambda obj: "{not json", "StreamFormatError", "invalid JSON"),
+    "deep_json": (lambda obj: "[" * 200_000, "StreamFormatError", "invalid JSON"),
+    "long_int_json": (lambda obj: json.dumps(obj).replace("[", "[" + "9" * 5000 + ", ", 1),
+                      "StreamFormatError", "invalid JSON"),
     "array": (lambda obj: "[1, 2]", "StreamFormatError", "expected an object"),
     "no_T_wc": (lambda obj: obj.pop("T_wc"), "StreamFormatError", "missing key 'T_wc'"),
     "bool_frame": (lambda obj: obj.update(frame=True), "StreamFormatError", "frame must be"),
