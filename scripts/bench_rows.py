@@ -2,11 +2,10 @@
 
 Usage: PYTHONPATH=src python3 scripts/bench_rows.py [REPEATS]
 
-jsonl_load_records (load_pose_stream + to_pose), jsonl_load_batches
-(load_pose_batches, the `run` loader; null where the tree lacks it) and
-jsonl_write (write_pose_stream of records_from_poses) run on a 20,000-pose
-arc stream with truth; run_1080p is `ego-focus run` on a 200-frame arc at
-1920x1080, fx=30, one thread, every map non-zero, timed as a whole command.
+jsonl_write (write_pose_stream), jsonl_load_records (load_pose_stream + to_pose) and
+jsonl_load_batches (load_pose_batches, the `run` loader; null where the tree lacks it) run on a
+20,000-pose arc stream with truth; run_1080p times a whole `ego-focus run` of a 200-frame arc at
+1920x1080, fx=30, one thread, every map non-zero; src_lines is wc -l of the imported ego_focus/*.py.
 """
 
 import contextlib
@@ -16,6 +15,7 @@ import os
 import sys
 import tempfile
 import time
+from pathlib import Path
 
 from ego_focus import cli, simulate, streams
 from ego_focus.geometry import Intrinsics
@@ -49,8 +49,10 @@ def main(repeats=3):
         with contextlib.redirect_stdout(io.StringIO()):  # 198 maps: two frames make none
             rows.append(("run_1080p", best_rate(len(arc) - 2, lambda: cli.main(args) == 0
                                                 or sys.exit("ego-focus run failed"), repeats)))
+    rows.append(("src_lines", sum(p.read_bytes().count(b"\n")
+                                  for p in Path(streams.__file__).parent.glob("*.py"))))
     for name, value in rows:
-        unit = "maps/s" if name == "run_1080p" else "poses/s"
+        unit = {"run_1080p": "maps/s", "src_lines": "lines"}.get(name, "poses/s")
         print(json.dumps({"row": name, "value": value, "unit": unit}))
 
 

@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 
 from .benchmark import DEFAULT_RESOLUTIONS, DEFAULT_STREAM_SIZES, bench
 from .errors import EgoFocusError
-from .geometry import DEFAULT_EPS_Z
+from .geometry import DEFAULT_EPS_Z, PoseBatch
 from .motion import DEFAULT_FOCUS_N
 from .pipeline import RunConfig, run_stream
 from .simulate import SCENARIOS, ScenarioSpec, iter_trajectory
@@ -138,6 +138,10 @@ def _cmd_sim(args: argparse.Namespace) -> int:
 
     def _records():
         for poses, truth in iter_trajectory(spec):
+            # The simulator wraps its rows unchecked; validate each chunk
+            # before it is written, so a parameter that overflows them (a
+            # huge speed) fails cleanly.
+            poses = PoseBatch(poses.first_frame, poses.rotations, poses.translations)
             yield from streams.records_from_poses(poses, truth)
 
     count = streams.write_pose_stream(args.out, _records())

@@ -275,83 +275,53 @@ class MotionBlock:
 class MotionStream:
     """Second differences, camera-frame rotation and projection of a pose stream.
 
-    Feed pose chunks in frame order; each call returns the samples that
-    became complete. Results are bit-identical however the stream is
-    chunked.
+    Feed pose chunks in frame order, of any length (zero too); each call
+    returns the samples that became complete, possibly none. Every chunk
+    takes one array path over the rows carried from earlier calls, so
+    results are bit-identical however the stream is chunked.
     """
 
     def __init__(self, k: Intrinsics, cfg: FocusConfig):
         self.k = k
         self.cfg = cfg
-        self._raw = np.empty((0, 3))          # last <= 4 raw centers
+        self._raw = np.empty((0, 3))          # last <= 2 raw centers
         self._seq = np.empty((0, 3))          # last <= 2 differencing inputs
-        self._positions = 0                   # frames consumed so far
-
-    def _smoothed(self, raw: np.ndarray, first_pos: int) -> np.ndarray:
-        """Causal moving average, width 3, partial at the stream head."""
-        n = raw.shape[0]
-        out = np.empty_like(raw)
-        for i in range(n):
-            pos = first_pos + i
-            if pos == 0:
-                out[i] = raw[i]
-            elif pos == 1:
-                out[i] = (raw[i] + raw[i - 1]) / 2.0
-            else:
-                out[i] = ((raw[i] + raw[i - 1]) + raw[i - 2]) / 3.0
-        return out
 
     def push(self, poses: PoseBatch) -> MotionBlock:
         """Feed the next poses (a PoseBatch, or poses of consecutive frames)."""
         batch = PoseBatch.from_poses(poses)
-        if len(batch) == 0:
-            return _empty_block()
         rs = batch.rotations
         centers = -np.einsum("nji,nj->ni", rs, batch.translations)
 
         if self.cfg.smooth_positions:
-            carried = len(self._raw)
-            raw = np.concatenate([self._raw, centers]) if carried else centers
-            # Positions of `raw` start at self._positions - carried.
-            seq_new = self._smoothed(raw, self._positions - carried)[carried:]
-            self._raw = raw[-4:].copy()
+            # Causal moving average of width 3, partial at the stream head.
+            # Fewer than two carried rows means raw starts at the stream
+            # head; otherwise rows 0 and 1 are carried and dropped.
+            r = np.concatenate([self._raw, centers])
+            smoothed = np.concatenate([r[:1], (r[1:2] + r[:1]) / 2.0,
+                                       ((r[2:] + r[1:-1]) + r[:-2]) / 3.0])
+            seq_new = smoothed[len(self._raw):]
+            self._raw = r[-2:].copy()
         else:
             seq_new = centers
         n_ctx = len(self._seq)
-        seq = np.concatenate([self._seq, seq_new]) if n_ctx else seq_new
+        seq = np.concatenate([self._seq, seq_new])
 
-        # Sample for chunk row i uses seq rows (i+n_ctx) down to (i+n_ctx-2).
-        if seq.shape[0] < 3:
-            block = _empty_block()
-        else:
-            # (p_t - p_{t-1}) - (p_{t-1} - p_{t-2}) from each sample's own
-            # three centers, whatever rows came in the same chunk, so every
-            # sample has the same bits however the stream is chunked.
-            step = seq[1:] - seq[:-1]
-            a_w = step[1:] - step[:-1]
-            skip = 2 - n_ctx  # leading chunk rows without two predecessors
-            rs_s = rs[skip:]
-            frames = np.arange(batch.first_frame + skip, batch.end_frame, dtype=np.int64)
-            a_c = np.einsum("nij,nj->ni", rs_s, a_w)
-            sq = a_c * a_c
-            mag = np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])
-            uv, valid = project_pinhole_many(
-                a_c, self.k, eps_z=self.cfg.eps_z,
-                allow_negative=(self.cfg.project_negative == "mirror"),
-            )
-            block = MotionBlock(frames, a_w, a_c, mag, uv, valid)
-
-        self._positions += len(batch)
+        # Sample for chunk row i uses seq rows (i+n_ctx) down to (i+n_ctx-2):
+        # (p_t - p_{t-1}) - (p_{t-1} - p_{t-2}) from each sample's own three
+        # centers, whatever rows came in the same chunk, so every sample has
+        # the same bits however the stream is chunked. Fewer than three rows
+        # give empty arrays.
+        step = seq[1:] - seq[:-1]
+        a_w = step[1:] - step[:-1]
+        skip = 2 - n_ctx  # leading chunk rows without two predecessors
+        frames = np.arange(batch.first_frame + skip, batch.end_frame, dtype=np.int64)
+        a_c = np.einsum("nij,nj->ni", rs[skip:], a_w)
+        sq = a_c * a_c
+        mag = np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])
+        uv, valid = project_pinhole_many(
+            a_c, self.k, eps_z=self.cfg.eps_z,
+            allow_negative=(self.cfg.project_negative == "mirror"),
+        )
         self._seq = seq[-2:].copy()
-        return block
-
-
-def _empty_block() -> MotionBlock:
-    return MotionBlock(
-        frames=np.empty(0, dtype=np.int64),
-        a_world=np.empty((0, 3)),
-        a_camera=np.empty((0, 3)),
-        magnitude=np.empty(0),
-        uv=np.empty((0, 2)),
-        projectable=np.empty(0, dtype=bool),
-    )
+        return MotionBlock(frames, a_w, a_c, mag, uv, valid)

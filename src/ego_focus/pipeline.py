@@ -7,7 +7,8 @@ by stream length; outputs are written per frame through atomic
 temp-file renames, so an interrupted run leaves only complete files.
 
 Rendering and encoding (and only those) can fan out over a small thread
-pool, sized by the EGO_FOCUS_THREADS environment variable (0 = auto).
+pool, sized by the EGO_FOCUS_THREADS environment variable (0 = auto,
+at most 8).
 Each frame's map is computed by exactly one worker with a fixed internal
 order, so results are byte-identical for any thread count. Workers hand
 back encoded bytes; the calling thread writes every file, in frame
@@ -52,8 +53,14 @@ _MAX_AUTO_THREADS = 8
 
 
 def resolve_threads(value: Optional[int]) -> int:
-    """Worker count: explicit value, else EGO_FOCUS_THREADS, else 1."""
+    """Worker count: explicit value, else EGO_FOCUS_THREADS, else 1.
+
+    At most _MAX_AUTO_THREADS: each worker holds two map-sized buffers
+    and up to two frames in flight.
+    """
+    key = "threads"
     if value is None:
+        key = THREADS_ENV_VAR
         raw = os.environ.get(THREADS_ENV_VAR, "")
         if raw == "":
             value = 1
@@ -62,8 +69,8 @@ def resolve_threads(value: Optional[int]) -> int:
                 value = int(raw)
             except ValueError:
                 raise ConfigError(THREADS_ENV_VAR, f"must be an integer, got {raw!r}")
-    if value < 0:
-        raise ConfigError("threads", f"must be >= 0, got {value}")
+    if not 0 <= value <= _MAX_AUTO_THREADS:
+        raise ConfigError(key, f"must be between 0 and {_MAX_AUTO_THREADS}, got {value}")
     if value == 0:
         return min(_MAX_AUTO_THREADS, os.cpu_count() or 1)
     return value
@@ -93,9 +100,12 @@ class RunConfig:
         if self.anchor_mode not in ("first", "last"):
             raise ConfigError("anchor_mode", f"must be 'first' or 'last', got {self.anchor_mode!r}")
         # Window constraints are validated by WindowPlan, focus knobs by
-        # FocusConfig; build both eagerly so bad values fail here.
+        # FocusConfig, a thread count by resolve_threads; run all three
+        # eagerly so bad values fail here.
         self.plan()
         self.focus_config()
+        if self.threads is not None:
+            resolve_threads(self.threads)
 
     def plan(self) -> WindowPlan:
         return WindowPlan(self.window_size, self.overlap)
@@ -243,13 +253,13 @@ def run_stream_batches(batches: Iterable[PoseBatch], intrinsics: Intrinsics,
     frame, e.g. from independent per-batch estimators.
     """
     t_start = time.perf_counter()
+    n_threads = resolve_threads(cfg.threads)
     os.makedirs(out_dir, exist_ok=True)
     fcfg = cfg.focus_config()
     plan = cfg.plan()
     map_k = intrinsics.scaled(cfg.map_scale)
     sigma = fcfg.resolved_sigma(intrinsics.width) / cfg.map_scale
     writer = _FrameWriter(out_dir, map_k, sigma, fcfg, cfg.emit_float_maps, depth_dir)
-    n_threads = resolve_threads(cfg.threads)
 
     state = StitchState()
     motion = MotionStream(intrinsics, fcfg)
@@ -283,14 +293,12 @@ def run_stream_batches(batches: Iterable[PoseBatch], intrinsics: Intrinsics,
             summary.frames_emitted += len(emitted)
             for event in state.boundary_log:
                 summary.boundaries += 1
-                if event.residual.center_dist.size:
-                    summary.max_center_residual = max(
-                        summary.max_center_residual, float(event.residual.center_dist.max())
-                    )
-                    summary.max_rotation_residual_rad = max(
-                        summary.max_rotation_residual_rad,
-                        float(event.residual.rot_angle_rad.max()),
-                    )
+                summary.max_center_residual = max(
+                    summary.max_center_residual, float(event.residual.center_dist.max())
+                )
+                summary.max_rotation_residual_rad = max(
+                    summary.max_rotation_residual_rad, float(event.residual.rot_angle_rad.max())
+                )
                 if residual_writer is not None:
                     residual_writer.write_residual(event.residual)
             state.boundary_log.clear()
@@ -304,13 +312,8 @@ def run_stream_batches(batches: Iterable[PoseBatch], intrinsics: Intrinsics,
 
             scale = float(cfg.map_scale)
             for i in range(len(block)):
-                ok = bool(block.projectable[i])
-                window.append((
-                    block.uv[i, 0] / scale if ok else 0.0,
-                    block.uv[i, 1] / scale if ok else 0.0,
-                    float(block.magnitude[i]),
-                    ok,
-                ))
+                window.append((block.uv[i, 0] / scale, block.uv[i, 1] / scale,
+                               float(block.magnitude[i]), bool(block.projectable[i])))
                 snap = [w for w in window if w[3]]
                 us = np.array([w[0] for w in snap])
                 vs = np.array([w[1] for w in snap])

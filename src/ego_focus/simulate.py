@@ -16,7 +16,7 @@ stream is chunked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -65,7 +65,7 @@ class ScenarioSpec:
     Only the parameters relevant to `kind` are read: speed (all),
     radius/omega (circular_arc, head_yaw_divergence), decel (brake),
     climb_rate (climb), head_yaw_* (head_yaw_divergence). Noise applies
-    to every kind.
+    to every kind. Every float parameter must be finite.
     """
 
     kind: str
@@ -88,6 +88,9 @@ class ScenarioSpec:
             raise ConfigError("frames", f"must be >= 1, got {self.frames}")
         if self.seed < 0:
             raise ConfigError("seed", f"must be >= 0, got {self.seed}")
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f.name, f"must be finite, got {getattr(self, f.name)}")
         if self.kind in ("circular_arc", "head_yaw_divergence"):
             if self.radius <= 0 or self.omega == 0.0:
                 raise ConfigError("radius" if self.radius <= 0 else "omega",

@@ -126,7 +126,6 @@ class StitchState:
     """Mutable per-stream state threaded through stitch_step calls."""
 
     window_count: int = 0
-    next_start: int = 0
     first_frame: Optional[int] = None
     emitted_count: int = 0
     done: bool = False
@@ -174,8 +173,7 @@ def _apply_correction(batch: PoseBatch, correction: RigidTransform,
     standard Sim(3)-style chaining that keeps rotations orthonormal.
     """
     r_glob = np.einsum("nij,kj->nik", batch.rotations, correction.rotation)
-    t_loc = batch.translations if scale == 1.0 else scale * batch.translations
-    t_glob = t_loc - np.einsum("nij,j->ni", r_glob, correction.translation)
+    t_glob = scale * batch.translations - np.einsum("nij,j->ni", r_glob, correction.translation)
     return PoseBatch._wrap(batch.first_frame, r_glob, t_glob)
 
 
@@ -206,13 +204,10 @@ def _check_batch(state: StitchState, batch: PoseBatch, plan: WindowPlan) -> int:
         raise PlanError("empty batch")
     if state.done:
         raise PlanError("plan already completed; no further batches expected")
-    if state.first_frame is None:
-        start = 0
-    else:
-        start = batch.first_frame - state.first_frame
-    if start != state.next_start:
+    start = 0 if state.first_frame is None else batch.first_frame - state.first_frame
+    if start != state.window_count * plan.stride:
         raise PlanError(
-            f"batch starts at offset {start}, plan expects {state.next_start}"
+            f"batch starts at offset {start}, plan expects {state.window_count * plan.stride}"
         )
     expected_end = start + plan.window_size
     if plan.total_frames is not None:
@@ -227,13 +222,16 @@ def _check_batch(state: StitchState, batch: PoseBatch, plan: WindowPlan) -> int:
             f"window at offset {start}: got {len(batch)} frames, plan allows at most "
             f"{plan.window_size}"
         )
+    if state.window_count and len(batch) < plan.overlap:
+        raise PlanError(
+            f"window at offset {start}: got {len(batch)} frames, fewer than the "
+            f"overlap of {plan.overlap}"
+        )
     return start
 
 
 def _estimate_scale(prev_centers: np.ndarray, local_centers: np.ndarray) -> float:
     """Median ratio of consecutive-center segment lengths over the overlap."""
-    if len(prev_centers) < 2:
-        return 1.0
     prev_seg = np.linalg.norm(np.diff(prev_centers, axis=0), axis=1)
     local_seg = np.linalg.norm(np.diff(local_centers, axis=0), axis=1)
     usable = local_seg > _SCALE_SEGMENT_FLOOR
@@ -296,15 +294,10 @@ def stitch_step(state: StitchState, batch: PoseBatch, plan: WindowPlan,
         emitted = corrected[overlap:]
 
     if overlap > 0:
-        if len(emitted) >= overlap:
-            state.tail = emitted[-overlap:]
-        else:
-            state.tail = PoseBatch.concat([state.tail, emitted])[-overlap:]
+        state.tail = PoseBatch.concat([state.tail, emitted])[-overlap:]
     state.window_count += 1
     state.emitted_count += len(emitted)
-    end = start + len(batch)
-    state.next_start = start + plan.stride
-    if plan.total_frames is not None and end >= plan.total_frames:
+    if plan.total_frames is not None and start + len(batch) >= plan.total_frames:
         state.done = True
     elif plan.total_frames is None and len(batch) < plan.window_size:
         # A short window can only be the final one.

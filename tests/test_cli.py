@@ -52,6 +52,32 @@ class TestSim:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", [
+        "--speed", "--radius", "--omega", "--decel", "--climb-rate", "--head-yaw-amplitude",
+        "--head-yaw-frequency", "--bob-amplitude", "--jitter-amplitude",
+    ])
+    def test_non_finite_parameter_fails_cleanly(self, tmp_path, capsys, flag, value):
+        rc = main([
+            "sim", "--scenario", "head-yaw", "--frames", "10", f"{flag}={value}",
+            "--out", str(tmp_path / "x.jsonl"),
+        ])
+        assert rc == 2
+        key = "jitter_amplitude_rad" if flag == "--jitter-amplitude" else flag[2:].replace("-", "_")
+        assert capsys.readouterr().err.startswith(f"error: {key}: must be finite, got ")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("scenario", ["constant_velocity", "brake", "climb"])
+    def test_overflowing_speed_fails_before_writing(self, tmp_path, capsys, scenario):
+        with np.errstate(all="ignore"):
+            rc = main([
+                "sim", "--scenario", scenario, "--frames", "3", "--speed", "1e308",
+                "--out", str(tmp_path / "x.jsonl"),
+            ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: frame ")
+        assert os.listdir(tmp_path) == []
+
 
     def test_interrupted_sim_leaves_no_file(self, tmp_path, monkeypatch):
         import ego_focus.cli
@@ -316,6 +342,20 @@ class TestRun:
         ])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {flag[2:].replace('-', '_')}: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_thread_count_beyond_the_bound_fails_cleanly(self, tmp_path, capsys):
+        # two frames give no map, so nothing would be rendered if the
+        # bound were missing
+        poses = sim(tmp_path, "--frames", "2")
+        k_path = tmp_path / "k.json"
+        write_intrinsics(WIDE, k_path)
+        rc = main([
+            "run", "--poses", str(poses), "--intrinsics", str(k_path),
+            "--out-dir", str(tmp_path / "o"), "--threads", "1000000",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: threads: must be between 0 and 8, ")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("size", [2 ** 32, 10 ** 12])

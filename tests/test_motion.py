@@ -522,6 +522,39 @@ class TestStreamAgainstOracle:
             assert ok[:15].all()
             np.testing.assert_array_equal(uv[:15], [[K.cx, K.cy]] * 15)
 
+    @pytest.mark.parametrize("negative", ["skip", "mirror"])
+    @pytest.mark.parametrize("smooth", [False, True])
+    def test_empty_and_short_chunks(self, negative, smooth):
+        # chunks of 0, 1 and 2 poses at the stream head and mid-stream,
+        # an empty list among them, then the rest and an empty tail
+        spec = ScenarioSpec(kind="head_yaw_divergence", frames=40, seed=4,
+                            bob_amplitude=0.002, jitter_amplitude_rad=0.003)
+        poses, _ = generate_trajectory(spec)
+        cfg = FocusConfig(project_negative=negative, smooth_positions=smooth)
+        check_against_oracle(poses, WIDE, cfg)
+        whole = MotionStream(WIDE, cfg).push(poses)
+        keys = ("frames", "a_world", "a_camera", "magnitude", "uv", "projectable")
+        for sizes in ([0, 1, 0, 1, 2, 0, 1, 5, 0, 2, 1], [2, 0, 2, 0, 0, 1, 3, 1],
+                      [1, 1, 1, 0, 2, 2, 1, 0], [0, 0, 3, 0, 2, 2]):
+            stream = MotionStream(WIDE, cfg)
+            blocks, start = [stream.push([])], 0
+            for size in sizes + [len(poses)]:
+                blocks.append(stream.push(poses[start:start + size]))
+                start += size
+                blocks.append(stream.push([]))
+            blocks.append(stream.push(poses[start:]))
+            for block in blocks:
+                if not len(block):
+                    assert block.frames.dtype == np.int64
+                    assert block.uv.shape == (0, 2)
+                    assert block.projectable.dtype == bool
+                    assert block.a_world.shape == block.a_camera.shape == (0, 3)
+                    assert block.magnitude.shape == (0,)
+            for key in keys:
+                got = np.concatenate([getattr(b, key) for b in blocks])
+                want = getattr(whole, key)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), key
+
 
 class TestMotionInvariants:
     def offset_poses(self, poses, offset):

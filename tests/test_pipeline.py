@@ -177,8 +177,37 @@ class TestResolveThreads:
         with pytest.raises(ConfigError):
             resolve_threads(-1)
 
+    def test_more_than_eight_threads_rejected(self, monkeypatch):
+        with pytest.raises(ConfigError, match="threads: must be between 0 and 8, got 9"):
+            RunConfig(threads=9)
+        with pytest.raises(ConfigError, match="threads: must be between 0 and 8, got -1"):
+            RunConfig(threads=-1)
+        monkeypatch.setenv(THREADS_ENV_VAR, "9")
+        with pytest.raises(ConfigError, match=f"{THREADS_ENV_VAR}: must be between 0 and 8"):
+            resolve_threads(None)
+
+    @pytest.mark.parametrize("value", ["9", "-1"])
+    def test_bad_environment_value_fails_before_the_output_directory(self, monkeypatch,
+                                                                      tmp_path, value):
+        def unread():
+            raise AssertionError("the stream was read")
+            yield
+
+        monkeypatch.setenv(THREADS_ENV_VAR, value)
+        with pytest.raises(ConfigError, match=THREADS_ENV_VAR):
+            run_stream(unread(), WIDE, RunConfig(), str(tmp_path / "o"))
+        assert not (tmp_path / "o").exists()
+
 
 class TestRunStream:
+    @pytest.mark.parametrize("anchor_mode", ["first", "last"])
+    def test_window_shorter_than_the_overlap_rejected(self, tmp_path, anchor_mode):
+        poses = arc_poses(60)
+        with pytest.raises(PlanError, match="window at offset 55: got 3 frames, "
+                                            "fewer than the overlap of 5"):
+            run_stream_batches([poses, poses[55:58]], WIDE, RunConfig(anchor_mode=anchor_mode),
+                               str(tmp_path / "o"))
+
     def test_arc_run_counts_and_outputs(self, tmp_path):
         poses = arc_poses(130)
         out = tmp_path / "out"

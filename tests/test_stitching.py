@@ -365,6 +365,15 @@ class TestStitchStep:
         with pytest.raises(PlanError):
             stitch_step(StitchState(), [], plan)
 
+    @pytest.mark.parametrize("anchor_mode", ["first", "last"])
+    def test_window_shorter_than_the_overlap_rejected(self, anchor_mode):
+        poses = arc_poses(60)
+        plan = WindowPlan(window_size=60, overlap=5)
+        state, _ = stitch_step(StitchState(), poses, plan, anchor_mode=anchor_mode)
+        with pytest.raises(PlanError, match="window at offset 55: got 3 frames, "
+                                            "fewer than the overlap of 5"):
+            stitch_step(state, poses[55:58], plan, anchor_mode=anchor_mode)
+
     def test_open_ended_plan_short_window_finishes(self):
         poses = arc_poses(75)
         plan = WindowPlan(window_size=60, overlap=5)
