@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .benchmark import DEFAULT_RESOLUTIONS, DEFAULT_STREAM_SIZES, bench
 from .errors import EgoFocusError
@@ -49,22 +52,27 @@ def _add_run_parser(sub: argparse._SubParsersAction) -> None:
 
 
 def _add_sim_parser(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser("sim", help="generate a synthetic pose stream with ground truth")
-    p.add_argument("--scenario", required=True,
+    # Omitted flags stay out of the namespace, so ScenarioSpec's defaults apply.
+    p = sub.add_parser("sim", help="generate a synthetic pose stream with ground truth",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--scenario", dest="kind", metavar="SCENARIO", required=True,
                    help=f"one of {', '.join(SCENARIOS)} (aliases: arc, head-yaw)")
     p.add_argument("--frames", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="output JSONL path, or '-' for stdout")
-    p.add_argument("--speed", type=float, default=0.1)
-    p.add_argument("--radius", type=float, default=2.0)
-    p.add_argument("--omega", type=float, default=0.05)
-    p.add_argument("--decel", type=float, default=0.01)
-    p.add_argument("--climb-rate", type=float, default=0.05)
-    p.add_argument("--head-yaw-amplitude", type=float, default=0.3)
-    p.add_argument("--head-yaw-frequency", type=float, default=0.02)
-    p.add_argument("--bob-amplitude", type=float, default=0.0)
-    p.add_argument("--jitter-amplitude", type=float, default=0.0)
-    p.add_argument("--noise-kind", choices=["bob", "white"], default="bob")
+    p.add_argument("--speed", type=float,
+                   help="path speed per frame for constant_velocity, brake and climb; "
+                        "arc and head-yaw move at radius * omega and ignore it")
+    p.add_argument("--radius", type=float)
+    p.add_argument("--omega", type=float)
+    p.add_argument("--decel", type=float)
+    p.add_argument("--climb-rate", type=float)
+    p.add_argument("--head-yaw-amplitude", type=float)
+    p.add_argument("--head-yaw-frequency", type=float)
+    p.add_argument("--bob-amplitude", type=float)
+    p.add_argument("--jitter-amplitude", dest="jitter_amplitude_rad", type=float,
+                   metavar="JITTER_AMPLITUDE")
+    p.add_argument("--noise-kind", choices=["bob", "white"])
 
 
 def _positive_int(text: str) -> int:
@@ -96,22 +104,14 @@ def _add_bench_parser(sub: argparse._SubParsersAction) -> None:
                    help="points per map")
 
 
+def _config(cls, args: argparse.Namespace):
+    """``cls`` built from the parsed options named like its fields."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{key: value for key, value in vars(args).items() if key in names})
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = RunConfig(
-        window_size=args.window_size,
-        overlap=args.overlap,
-        focus_n=args.focus_n,
-        sigma_px=args.sigma_px,
-        eps_z=args.eps_z,
-        normalize=args.normalize,
-        project_negative=args.project_negative,
-        smooth_positions=args.smooth_positions,
-        anchor_mode=args.anchor_mode,
-        scale_correction=args.scale_correction,
-        map_scale=args.map_scale,
-        emit_float_maps=args.emit_float_maps,
-        threads=args.threads,
-    )
+    cfg = _config(RunConfig, args)
     intrinsics = streams.load_intrinsics(args.intrinsics)
     summary = run_stream(streams.load_pose_batches(args.poses), intrinsics, cfg, args.out_dir,
                          residuals_path=args.residuals, depth_dir=args.depth_dir)
@@ -120,29 +120,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sim(args: argparse.Namespace) -> int:
-    spec = ScenarioSpec(
-        kind=args.scenario,
-        frames=args.frames,
-        seed=args.seed,
-        speed=args.speed,
-        radius=args.radius,
-        omega=args.omega,
-        decel=args.decel,
-        climb_rate=args.climb_rate,
-        head_yaw_amplitude=args.head_yaw_amplitude,
-        head_yaw_frequency=args.head_yaw_frequency,
-        bob_amplitude=args.bob_amplitude,
-        jitter_amplitude_rad=args.jitter_amplitude,
-        noise_kind=args.noise_kind,
-    )
+    spec = _config(ScenarioSpec, args)
 
     def _records():
-        for poses, truth in iter_trajectory(spec):
-            # The simulator wraps its rows unchecked; validate each chunk
-            # before it is written, so a parameter that overflows them (a
-            # huge speed) fails cleanly.
-            poses = PoseBatch(poses.first_frame, poses.rotations, poses.translations)
-            yield from streams.records_from_poses(poses, truth)
+        # The simulator wraps its rows unchecked; validate each chunk before
+        # it is written, so a parameter that overflows them (a huge speed)
+        # fails cleanly, with the error alone and no overflow warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for poses, truth in iter_trajectory(spec):
+                poses = PoseBatch(poses.first_frame, poses.rotations, poses.translations)
+                yield from streams.records_from_poses(poses, truth)
 
     count = streams.write_pose_stream(args.out, _records())
     if args.out != "-":

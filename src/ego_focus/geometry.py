@@ -56,9 +56,9 @@ DEFAULT_EPS_Z = 1e-6
 _EYE3 = np.eye(3)
 
 
-def rotation_drift(rotation: np.ndarray) -> float:
-    """Max-abs deviation of R^T R from the identity."""
-    return float(np.abs(rotation.T @ rotation - _EYE3).max())
+def rotation_drift(rotation: np.ndarray) -> float | np.ndarray:
+    """Max-abs deviation of R^T R from the identity, of one matrix or of each of a stack."""
+    return np.abs(np.swapaxes(rotation, -1, -2) @ rotation - _EYE3).max(axis=(-2, -1), initial=0.0)
 
 
 def orthonormalize(rotation: np.ndarray) -> np.ndarray:
@@ -89,10 +89,8 @@ def _checked_poses(first_frame: int, rotations: np.ndarray, translations: np.nda
     if r.ndim != 3 or r.shape[1:] != (3, 3) or t.shape != (r.shape[0], 3):
         raise ValueError(f"expected rotations (n, 3, 3) and translations (n, 3), "
                          f"got {r.shape} and {t.shape}")
-    dev = np.matmul(r.transpose(0, 2, 1), r)
-    dev -= _EYE3
     # NaN or inf for a row with a non-finite entry, so such a row is never fine.
-    drift = np.abs(dev, out=dev).max(axis=(1, 2), initial=0.0)
+    drift = rotation_drift(r)
     if ((drift <= REORTHONORMALIZE_LIMIT).all() and np.isfinite(t).all()
             and not (np.linalg.det(r) <= 0.0).any()):
         repair = drift > ORTHONORMAL_TOL
@@ -197,8 +195,8 @@ class PoseBatch:
 
     @property
     def centers(self) -> np.ndarray:
-        """Camera centers ``-R.T @ t`` in world coordinates, (n, 3)."""
-        return batch_centers(self.rotations, self.translations)
+        """Camera centers ``-R.T @ t`` in world coordinates, (n, 3), summed over j in order."""
+        return -np.einsum("nji,nj->ni", self.rotations, self.translations)
 
     def __len__(self) -> int:
         return self.rotations.shape[0]
@@ -293,11 +291,6 @@ class CameraPose(PoseBatch):
                              np.array(self.translation)))
 
 
-def batch_centers(rotations: np.ndarray, translations: np.ndarray) -> np.ndarray:
-    """Camera centers ``-R.T @ t`` of stacked poses."""
-    return -np.matmul(translations[:, None, :], rotations)[:, 0, :]
-
-
 @dataclass(frozen=True, slots=True)
 class RigidTransform:
     """A rigid map on world points: ``y = R @ x + t``.
@@ -380,10 +373,10 @@ def _gravity_ypr(m: np.ndarray) -> GravityYpr:
     return GravityYpr(_wrap_pi(yaw), pitch, _wrap_pi(roll))
 
 
-def rotation_angle(a: np.ndarray, b: np.ndarray) -> float:
-    """Geodesic angle in radians between two rotation matrices."""
-    cos_theta = (float(np.trace(a @ b.T)) - 1.0) / 2.0
-    return math.acos(min(1.0, max(-1.0, cos_theta)))
+def rotation_angle(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """Geodesic angle in radians between two rotation matrices, or row by row between two stacks."""
+    cos_theta = (np.trace(a @ np.swapaxes(b, -1, -2), axis1=-2, axis2=-1) - 1.0) / 2.0
+    return np.arccos(np.clip(cos_theta, -1.0, 1.0))
 
 
 @dataclass(frozen=True, slots=True)

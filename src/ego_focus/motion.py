@@ -156,8 +156,9 @@ def _render_arrays(us: np.ndarray, vs: np.ndarray, mags: np.ndarray,
     """
     kernels = []
     if us.size:
-        # The window median as np.median takes it (the middle value, or
-        # the mean of the middle two), then the clamped width multipliers.
+        # The window median (the middle value, or the mean of the middle
+        # two) from one sort: np.median costs about 20 us a call on 15
+        # values against 2 us, added to every map. Then the clamped widths.
         ranked = np.sort(mags)
         mid = ranked.size // 2
         median = ranked[mid] if ranked.size % 2 else (ranked[mid - 1] + ranked[mid]) / 2.0
@@ -290,9 +291,7 @@ class MotionStream:
     def push(self, poses: PoseBatch) -> MotionBlock:
         """Feed the next poses (a PoseBatch, or poses of consecutive frames)."""
         batch = PoseBatch.from_poses(poses)
-        rs = batch.rotations
-        centers = -np.einsum("nji,nj->ni", rs, batch.translations)
-
+        centers = batch.centers
         if self.cfg.smooth_positions:
             # Causal moving average of width 3, partial at the stream head.
             # Fewer than two carried rows means raw starts at the stream
@@ -316,9 +315,8 @@ class MotionStream:
         a_w = step[1:] - step[:-1]
         skip = 2 - n_ctx  # leading chunk rows without two predecessors
         frames = np.arange(batch.first_frame + skip, batch.end_frame, dtype=np.int64)
-        a_c = np.einsum("nij,nj->ni", rs[skip:], a_w)
-        sq = a_c * a_c
-        mag = np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])
+        a_c = np.einsum("nij,nj->ni", batch.rotations[skip:], a_w)
+        mag = np.linalg.norm(a_c, axis=1)
         uv, valid = project_pinhole_many(
             a_c, self.k, eps_z=self.cfg.eps_z,
             allow_negative=(self.cfg.project_negative == "mirror"),

@@ -62,8 +62,9 @@ def canonical_scenario(name: str) -> str:
 class ScenarioSpec:
     """Parameters of one synthetic run.
 
-    Only the parameters relevant to `kind` are read: speed (all),
-    radius/omega (circular_arc, head_yaw_divergence), decel (brake),
+    Only the parameters relevant to `kind` are read: speed
+    (constant_velocity, brake, climb), radius/omega (circular_arc,
+    head_yaw_divergence, which move at radius * omega), decel (brake),
     climb_rate (climb), head_yaw_* (head_yaw_divergence). Noise applies
     to every kind. Every float parameter must be finite.
     """

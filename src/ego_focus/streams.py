@@ -447,15 +447,12 @@ class FocusPointCsvWriter(_CsvWriter):
     HEADER = "frame,u,v,ax,ay,az,mag,projectable"
 
     def write_block(self, block: MotionBlock) -> None:
-        for i in range(len(block)):
-            ok = bool(block.projectable[i])
-            u = repr(float(block.uv[i, 0])) if ok else ""
-            v = repr(float(block.uv[i, 1])) if ok else ""
-            a = block.a_camera[i]
-            self._fh.write(
-                f"{int(block.frames[i])},{u},{v},{a[0]!r},{a[1]!r},{a[2]!r},"
-                f"{float(block.magnitude[i])!r},{int(ok)}\n"
-            )
+        # Python floats: the repr of a numpy scalar is not a CSV number.
+        for frame, (u, v), (ax, ay, az), mag, ok in zip(
+                block.frames.tolist(), block.uv.tolist(), block.a_camera.tolist(),
+                block.magnitude.tolist(), block.projectable.tolist()):
+            uv = f"{u!r},{v!r}" if ok else ","
+            self._fh.write(f"{frame},{uv},{ax!r},{ay!r},{az!r},{mag!r},{int(ok)}\n")
 
 
 class ResidualCsvWriter(_CsvWriter):

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from ego_focus.cli import build_parser, main
-from ego_focus.streams import read_pgm, write_depth_map, write_intrinsics
-from ego_focus import FocusConfig, Intrinsics, RunConfig
+from ego_focus.streams import (
+    read_pgm, records_from_poses, write_depth_map, write_intrinsics, write_pose_stream)
+from ego_focus import (
+    SCENARIOS, FocusConfig, Intrinsics, RunConfig, ScenarioSpec, generate_trajectory)
 
 WIDE = Intrinsics(fx=10.0, fy=10.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -78,6 +80,37 @@ class TestSim:
         assert capsys.readouterr().err.startswith("error: frame ")
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scenario", ["constant_velocity", "brake", "climb"])
+    def test_overflowing_speed_prints_only_the_error(self, tmp_path, capsys, scenario):
+        rc = main([
+            "sim", "--scenario", scenario, "--frames", "3", "--speed", "1e308",
+            "--out", str(tmp_path / "x.jsonl"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: frame ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("scenario", ["arc", "head-yaw"])
+    def test_speed_is_ignored_by_the_arc_kinds(self, tmp_path, scenario):
+        outputs = []
+        for speed in ("0.1", "5", "1e308"):
+            out = tmp_path / f"{speed}.jsonl"
+            args = ["sim", "--scenario", scenario, "--frames", "40", "--bob-amplitude", "0.01"]
+            assert main([*args, "--speed", speed, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_omitted_flags_take_the_scenario_spec_defaults(self, tmp_path, scenario):
+        out, expected = tmp_path / "cli.jsonl", tmp_path / "spec.jsonl"
+        argv = ["sim", "--scenario", scenario, "--frames", "50", "--out", str(out)]
+        assert vars(build_parser().parse_args(argv)) == {
+            "command": "sim", "kind": scenario, "frames": 50, "out": str(out)}
+        assert main(argv) == 0
+        write_pose_stream(expected, records_from_poses(*generate_trajectory(
+            ScenarioSpec(scenario, 50))))
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_interrupted_sim_leaves_no_file(self, tmp_path, monkeypatch):
         import ego_focus.cli
@@ -120,6 +153,27 @@ class TestRun:
         assert len(pgms) == 88
         assert read_pgm(out_dir / pgms[0]).shape == (480, 640)
         assert (out_dir / "focus_points.csv").exists()
+
+    def test_focus_points_csv_holds_plain_numbers(self, tmp_path):
+        poses = sim(tmp_path, "--bob-amplitude", "0.01", "--jitter-amplitude", "0.004")
+        k_path = tmp_path / "k.json"
+        write_intrinsics(WIDE, k_path)
+        out_dir = tmp_path / "maps"
+        assert main(["run", "--poses", str(poses), "--intrinsics", str(k_path),
+                     "--out-dir", str(out_dir)]) == 0
+        lines = (out_dir / "focus_points.csv").read_text().splitlines()
+        assert lines[0] == "frame,u,v,ax,ay,az,mag,projectable" and len(lines) == 89
+        flags = []
+        for line in lines[1:]:
+            frame, u, v, *numbers, flag = line.split(",")
+            assert int(frame) >= 2 and flag in ("0", "1")
+            assert np.isfinite([float(x) for x in numbers]).all()
+            flags.append(flag)
+            if flag == "1":
+                assert np.isfinite([float(u), float(v)]).all()
+            else:
+                assert u == v == ""
+        assert set(flags) == {"0", "1"}
 
     def test_flags_reach_the_pipeline(self, tmp_path):
         poses = sim(tmp_path)

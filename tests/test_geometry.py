@@ -342,6 +342,29 @@ class TestRotationHelpers:
         b = rotation_about_gravity(0.7)
         assert rotation_angle(a, b) == pytest.approx(0.7, abs=1e-12)
 
+    def test_rotation_angle_of_stacks_matches_each_pair(self):
+        rng = np.random.default_rng(21)
+        a = np.stack([random_rotation(rng) for _ in range(200)])
+        b = orthonormalize(a + rng.uniform(0.0, 1.0, (200, 1, 1)) * rng.standard_normal(a.shape))
+        b[:3] = a[:3]  # angle 0 ...
+        b[3] = a[3] @ compose_gravity_ypr(math.pi, 0.0, 0.0)  # ... and near pi
+        angles = rotation_angle(a, b)
+        assert angles.shape == (200,)
+        np.testing.assert_array_equal(angles, [rotation_angle(x, y) for x, y in zip(a, b)])
+        assert rotation_angle(a[:0], b[:0]).shape == (0,)
+
+    def test_rotation_drift_of_a_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(22)
+        r = np.stack([random_rotation(rng) for _ in range(200)])
+        r += 10.0 ** rng.uniform(-16, 0, (200, 1, 1)) * rng.standard_normal(r.shape)
+        r[5, 1, 2] = np.nan
+        r[6, 0, 0] = np.inf
+        drift = rotation_drift(r)
+        assert drift.shape == (200,)
+        np.testing.assert_array_equal(drift, [rotation_drift(m) for m in r])
+        assert np.isnan(drift[5]) and not drift[6] <= 1.0
+        assert rotation_drift(r[:0]).shape == (0,)
+
     def test_orthonormalize_projects_back(self):
         rng = np.random.default_rng(13)
         r = random_rotation(rng)

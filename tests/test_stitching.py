@@ -19,6 +19,7 @@ from ego_focus import (
     perturb_batches,
     plan_windows,
     rotation_about_gravity,
+    rotation_angle,
     stitch_step,
 )
 from ego_focus.geometry import compose_gravity_ypr
@@ -162,6 +163,21 @@ class TestOverlapResidual:
         assert res.frames == (0, 1, 2, 3, 4, 5)
         np.testing.assert_array_equal(res.center_dist, np.zeros(6))
         np.testing.assert_array_equal(res.rot_angle_rad, np.zeros(6))
+
+    def test_rows_match_the_per_frame_forms(self):
+        prev = arc_poses(40)
+        rng = np.random.default_rng(5)
+        cur = PoseBatch(0, [r @ compose_gravity_ypr(*rng.normal(0.0, 1e-3, 3)) for r in
+                            prev.rotations], prev.translations + rng.normal(0.0, 1e-3, (40, 3)))
+        res = overlap_residual(2, 17, prev.rotations, prev.centers, cur.rotations, cur.centers)
+        assert res.frames == tuple(range(17, 57))
+        np.testing.assert_array_equal(res.rot_angle_rad, [
+            rotation_angle(p, c) for p, c in zip(prev.rotations, cur.rotations)])
+        # The per-vector norm over the row's axis; the axis-less 1-D form goes
+        # through a dot product and may round differently.
+        np.testing.assert_array_equal(res.center_dist, [
+            np.linalg.norm(p - c, axis=-1) for p, c in zip(prev.centers, cur.centers)])
+        assert res.center_dist.min() > 0.0 and res.rot_angle_rad.min() > 0.0
 
     def test_length_mismatch_rejected(self):
         poses = arc_poses(6)
