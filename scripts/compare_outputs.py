@@ -1,9 +1,11 @@
 """Compare what two source trees write for the same inputs.
 
-Usage: python3 scripts/compare_outputs.py TREE_A TREE_B [SEED ...] (default 0 5) | --dirs A B
+Usage: python3 scripts/compare_outputs.py [--emit-float-maps] TREE_A TREE_B [SEED ...] (default 0 5)
+       python3 scripts/compare_outputs.py --dirs A B
 Runs each seed's long_stream and batched_stitch inputs (perfbench/workloads.py) through both trees'
-src/ (or takes two output trees) and prints if the summary counters match, the maps, CSV rows and
-other files that differ, and the largest differences, maps against golden's max(8, 0.1%)."""
+src/, with .mfm sidecars on request (or takes two output trees) and prints if the summary counters
+match, the maps, CSV rows and other files that differ, and the largest differences, maps against
+golden's max(8, 0.1%)."""
 import json, os, subprocess, sys, tempfile  # noqa: E401
 import numpy as np
 
@@ -44,6 +46,8 @@ def compare(dir_a, dir_b):
 
 if __name__ == "__main__":
     argv = sys.argv[1:]
+    floats = argv[0] == "--emit-float-maps"
+    argv = argv[floats:]
     if argv[0] == "--dirs":
         sys.exit(compare(*argv[1:3]))
     sys.dont_write_bytecode = True  # leave perfbench/ as it is
@@ -51,7 +55,10 @@ if __name__ == "__main__":
     import workloads
     for name, seed in [(w, s) for w in ("long_stream", "batched_stitch") for s in argv[2:] or "05"]:
         with tempfile.TemporaryDirectory() as tmp:
-            job = json.dumps(workloads.generate(name, int(seed), tmp))
+            job = workloads.generate(name, int(seed), tmp)
+            if floats:
+                job["run_config"]["emit_float_maps"] = True
+            job = json.dumps(job)
             counters = {subprocess.run([sys.executable, "-c", RUN, job, f"{tmp}/out{i}"], text=True,
                                        check=True, capture_output=True,
                                        env=dict(os.environ, PYTHONPATH=f"{tree}/src")).stdout

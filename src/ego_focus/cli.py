@@ -12,42 +12,41 @@ import numpy as np
 
 from .benchmark import DEFAULT_RESOLUTIONS, DEFAULT_STREAM_SIZES, bench
 from .errors import EgoFocusError
-from .geometry import DEFAULT_EPS_Z, PoseBatch
+from .geometry import PoseBatch
 from .motion import DEFAULT_FOCUS_N
 from .pipeline import RunConfig, run_stream
 from .simulate import SCENARIOS, ScenarioSpec, iter_trajectory
-from .stitching import DEFAULT_OVERLAP, DEFAULT_WINDOW_SIZE
 from . import streams
 
 
 def _add_run_parser(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser("run", help="process a pose stream into focus maps")
+    # Omitted settings stay out of the namespace, so RunConfig's defaults apply.
+    p = sub.add_parser("run", help="process a pose stream into focus maps",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--poses", required=True, help="JSONL pose stream, or '-' for stdin")
     p.add_argument("--intrinsics", required=True, help="pinhole intrinsics JSON")
     p.add_argument("--out-dir", required=True, help="directory for per-frame outputs")
-    p.add_argument("--window-size", type=int, default=DEFAULT_WINDOW_SIZE)
-    p.add_argument("--overlap", type=int, default=DEFAULT_OVERLAP)
-    p.add_argument("--focus-n", type=int, default=DEFAULT_FOCUS_N,
-                   help="trailing frames aggregated per map")
-    p.add_argument("--sigma-px", type=float, default=None,
-                   help="kernel sigma in pixels (default: 0.04 * width)")
-    p.add_argument("--eps-z", type=float, default=DEFAULT_EPS_Z)
-    p.add_argument("--normalize", choices=["peak", "sum"], default="peak")
-    p.add_argument("--project-negative", choices=["skip", "mirror"], default="skip")
+    p.add_argument("--window-size", type=int)
+    p.add_argument("--overlap", type=int)
+    p.add_argument("--focus-n", type=int, help="trailing frames aggregated per map")
+    p.add_argument("--sigma-px", type=float, help="kernel sigma in pixels (default: 0.04 * width)")
+    p.add_argument("--eps-z", type=float)
+    p.add_argument("--normalize", choices=["peak", "sum"])
+    p.add_argument("--project-negative", choices=["skip", "mirror"])
     p.add_argument("--smooth-positions", action="store_true",
                    help="moving-average centers (width 3) before differencing")
-    p.add_argument("--anchor-mode", choices=["first", "last"], default="last")
+    p.add_argument("--anchor-mode", choices=["first", "last"])
     p.add_argument("--scale-correction", action="store_true",
                    help="estimate a per-boundary scale from overlap segments")
     p.add_argument("--residuals", default=None, metavar="PATH",
                    help="write boundary residual CSV here")
-    p.add_argument("--map-scale", type=int, default=1, metavar="K",
+    p.add_argument("--map-scale", type=int, metavar="K",
                    help="integer downscale divisor for rendered maps")
     p.add_argument("--depth-dir", default=None, metavar="PATH",
                    help="directory of depth_<frame>.mfd inputs to modulate")
     p.add_argument("--emit-float-maps", action="store_true",
                    help="also write raw float32 .mfm maps")
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=int,
                    help="render workers (default: EGO_FOCUS_THREADS, 0 = auto)")
 
 

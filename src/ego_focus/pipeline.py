@@ -5,15 +5,16 @@ to focus points, and rendered frame by frame. State is bounded by the
 window size, the trailing point window and the map resolution, never
 by stream length; outputs are written per frame through atomic
 temp-file renames, so an interrupted run leaves only complete files.
+A zero map (no contributing kernel) is a hard link to the run's first
+zero map, so editing one in place edits them all.
 
 Rendering and encoding (and only those) can fan out over a small thread
-pool, sized by the EGO_FOCUS_THREADS environment variable (0 = auto,
-at most 8).
-Each frame's map is computed by exactly one worker with a fixed internal
-order, so results are byte-identical for any thread count. Workers hand
-back encoded bytes; the calling thread writes every file, in frame
-order, so an interrupted run leaves a contiguous prefix of frames and
-no directory has two threads creating files in it at once.
+pool, sized by the EGO_FOCUS_THREADS environment variable (0 = auto, at
+most 8). Each frame's map is computed by exactly one worker with a fixed
+internal order, so results are byte-identical for any thread count.
+Workers hand back encoded bytes; the calling thread creates or links
+every file, in frame order, so an interrupted run leaves a contiguous
+prefix of frames and no directory has two threads creating files in it.
 """
 
 from __future__ import annotations
@@ -196,8 +197,10 @@ class _FrameWriter:
         self.depth_dir = depth_dir
         self._buffers = threading.local()
         # Every map of a run has one size, so every map without a
-        # contributing kernel has these bytes.
-        self.zero_pgm = streams.pgm_bytes(np.zeros((map_k.height, map_k.width)))
+        # contributing kernel has these bytes (the run's zero payloads).
+        zero = np.zeros((map_k.height, map_k.width))
+        self.zero_pgm = streams.pgm_bytes(zero)
+        self.zero_mfm = streams.raw_map_bytes(zero, streams.FOCUS_MAP_MAGIC) if emit_float else None
 
     def __call__(self, frame: int, us: np.ndarray, vs: np.ndarray,
                  mags: np.ndarray) -> tuple[int, list[tuple[str, bytes]]]:
@@ -210,12 +213,13 @@ class _FrameWriter:
         acc, scratch = buffers
         fmap = _render_arrays(us, vs, mags, self.map_k.width, self.map_k.height,
                               self.sigma, self.cfg, out=acc, scratch=scratch)
-        pgm = self.zero_pgm if fmap.contributing_points == 0 \
-            else streams.pgm_bytes(fmap.values, scratch)
+        zero = fmap.contributing_points == 0
+        pgm = self.zero_pgm if zero else streams.pgm_bytes(fmap.values, scratch)
         outputs = [(os.path.join(self.out_dir, streams.focus_map_name(frame)), pgm)]
         if self.emit_float:
-            outputs.append((os.path.join(self.out_dir, streams.focus_map_name(frame, "mfm")),
-                            streams.raw_map_bytes(fmap.values, streams.FOCUS_MAP_MAGIC)))
+            mfm = self.zero_mfm if zero \
+                else streams.raw_map_bytes(fmap.values, streams.FOCUS_MAP_MAGIC)
+            outputs.append((os.path.join(self.out_dir, streams.focus_map_name(frame, "mfm")), mfm))
         if self.depth_dir is not None:
             depth_path = os.path.join(self.depth_dir, streams.depth_input_name(frame))
             depth = streams.read_depth_map(depth_path)
@@ -268,10 +272,19 @@ def run_stream_batches(batches: Iterable[PoseBatch], intrinsics: Intrinsics,
     pending: deque[Future] = deque()
     max_inflight = 2 * n_threads
 
+    # id of a zero payload -> the file last written with it, which its later
+    # outputs link to; an output that cannot be linked is written instead.
+    sources: dict[int, str] = {}
+
     def _finish(rendered: tuple[int, list[tuple[str, bytes]]]) -> None:
         contributing, outputs = rendered
         for path, data in outputs:
-            streams.atomic_write_bytes(path, data)
+            try:
+                streams.link_replacing(sources[id(data)], path)
+            except (KeyError, OSError):  # no source yet, or EMLINK, EPERM, ENOTSUP
+                streams.atomic_write_bytes(path, data)
+                if data is writer.zero_pgm or data is writer.zero_mfm:
+                    sources[id(data)] = path
         summary.maps_written += 1
         if contributing == 0:
             summary.zero_maps += 1

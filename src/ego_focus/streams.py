@@ -25,7 +25,7 @@ import os
 import struct
 import sys
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Optional, Sequence, Union
+from typing import IO, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -64,32 +64,39 @@ class PoseStreamRecord:
 
 
 @contextlib.contextmanager
-def _replacing(path: Union[str, os.PathLike], mode: str) -> Iterator[IO]:
-    """A new file that replaces ``path`` when the block ends cleanly.
+def _renamed_onto(path: Union[str, os.PathLike], create: Callable[[str], object]) -> Iterator:
+    """``create(tmp)`` on a new random ``.tmp-*`` name beside ``path``, for the block.
 
-    The file gets a random ``.tmp-*`` name in the directory of ``path``
-    that no other file had, and mode 0666 less the umask, the mode
-    open() would give ``path`` itself. It is renamed onto ``path`` when
-    the block ends without an exception and removed on any exception,
-    so readers never see a partial file. ``mode`` is "w" (UTF-8 text)
-    or "wb".
+    ``tmp`` is renamed onto ``path`` when the block ends cleanly and removed
+    on any exception. A failed create is raised naming ``path``, not ``tmp``.
     """
     directory = os.path.dirname(os.fspath(path)) or "."
     while True:
         tmp = os.path.join(directory, ".tmp-" + os.urandom(8).hex())
         try:
-            fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+            made = create(tmp)
             break
         except FileExistsError:
             continue
+        except OSError as err:
+            raise OSError(err.errno, err.strerror, os.fspath(path)) from err
     try:
-        with os.fdopen(fd, mode, encoding=None if "b" in mode else "utf-8") as fh:
-            yield fh
+        yield made
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+@contextlib.contextmanager
+def _replacing(path: Union[str, os.PathLike], mode: str) -> Iterator[IO]:
+    """A new file, renamed onto ``path`` by _renamed_onto, mode 0666 less the umask
+    (as open() would give ``path``); ``mode`` is "w" (UTF-8 text) or "wb"."""
+    with _renamed_onto(path, lambda tmp: os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY,
+                                                 0o666)) as fd, \
+            os.fdopen(fd, mode, encoding=None if "b" in mode else "utf-8") as fh:
+        yield fh
 
 
 @contextlib.contextmanager
@@ -325,6 +332,12 @@ def atomic_write_bytes(path: Union[str, os.PathLike], data: bytes) -> None:
     """Write via temp file + rename; readers never see partial files."""
     with _replacing(path, "wb") as fh:
         fh.write(data)
+
+
+def link_replacing(source: Union[str, os.PathLike], path: Union[str, os.PathLike]) -> None:
+    """Hard-link ``path`` to ``source`` by a temp name and a rename, as atomic_write_bytes."""
+    with _renamed_onto(path, lambda tmp: os.link(source, tmp)):
+        pass
 
 
 def pgm_bytes(values: np.ndarray, scratch: Optional[np.ndarray] = None) -> bytes:

@@ -7,7 +7,9 @@ import subprocess
 import numpy as np
 import pytest
 
+from ego_focus import cli
 from ego_focus.cli import build_parser, main
+from ego_focus.pipeline import RunSummary
 from ego_focus.streams import (
     read_pgm, records_from_poses, write_depth_map, write_intrinsics, write_pose_stream)
 from ego_focus import (
@@ -424,6 +426,32 @@ class TestRun:
         ])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: width: must be >= 1 and < 2**32")
+
+    def test_omitted_flags_take_the_run_config_defaults(self, tmp_path, monkeypatch):
+        seen = []
+
+        def recording(poses, intrinsics, cfg, out_dir, **kwargs):
+            seen.append(cfg)
+            return RunSummary()
+
+        monkeypatch.setattr(cli, "run_stream", recording)
+        k_path = tmp_path / "k.json"
+        write_intrinsics(WIDE, k_path)
+        assert main(["run", "--poses", str(tmp_path / "p.jsonl"), "--intrinsics", str(k_path),
+                     "--out-dir", str(tmp_path / "o")]) == 0
+        assert seen == [RunConfig()]
+
+    def test_missing_residuals_directory_names_the_target(self, tmp_path, capsys, monkeypatch):
+        poses = sim(tmp_path)
+        k_path = tmp_path / "k.json"
+        write_intrinsics(WIDE, k_path)
+        monkeypatch.chdir(tmp_path)
+        rc = main(["run", "--poses", str(poses), "--intrinsics", str(k_path),
+                   "--out-dir", "o", "--residuals", "nodir/r.csv"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nodir/r.csv" in err
+        assert ".tmp-" not in err
 
 
 class TestBench:

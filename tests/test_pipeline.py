@@ -1,3 +1,4 @@
+import errno
 import os
 import tempfile
 import threading
@@ -411,3 +412,120 @@ class TestOutputWrites:
         # the files written are those of a contiguous run of frames, 2 to 39
         assert names == sorted(f"{kind}_{frame:06d}.{ext}" for frame in range(2, 40)
                                for kind, ext in (("focus", "pgm"), ("depth_mod", "mfd")))
+
+
+def climb_poses():
+    # On WIDE at map scale 4, 44 of the 88 maps have no kernel on the image.
+    poses, _ = generate_trajectory(ScenarioSpec(kind="climb", frames=90, seed=3))
+    return poses
+
+
+def copied_run(monkeypatch, out, cfg):
+    """A run with every output written as its own file, no hard links."""
+    def no_link(source, path):
+        raise OSError(errno.EPERM, "no links here")
+
+    with monkeypatch.context() as m:
+        m.setattr(streams, "link_replacing", no_link)
+        return run_stream(iter(climb_poses()), WIDE, cfg, str(out))
+
+
+def contents(out):
+    return {name: (out / name).read_bytes() for name in os.listdir(out)}
+
+
+class TestZeroMapLinks:
+    ZERO_PGM = streams.pgm_bytes(np.zeros((120, 160)))
+    ZERO_MFM = streams.raw_map_bytes(np.zeros((120, 160)), streams.FOCUS_MAP_MAGIC)
+
+    @pytest.mark.parametrize("emit_float", [False, True])
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_zero_maps_are_links_to_one_file(self, monkeypatch, tmp_path, threads, emit_float):
+        cfg = RunConfig(threads=threads, emit_float_maps=emit_float, map_scale=4,
+                        window_size=20, overlap=5)
+        summary = run_stream(iter(climb_poses()), WIDE, cfg, str(tmp_path / "linked"))
+        copied_run(monkeypatch, tmp_path / "copied", cfg)
+        assert summary.zero_maps == 44 and summary.maps_written == 88
+        linked = contents(tmp_path / "linked")
+        assert linked == contents(tmp_path / "copied")
+        kinds = [("pgm", self.ZERO_PGM)] + [("mfm", self.ZERO_MFM)] * emit_float
+        for ext, zero in kinds:
+            names = [n for n in linked if n.endswith(ext)]
+            assert len(names) == 88
+            stats = [os.stat(tmp_path / "linked" / n) for n in names if linked[n] == zero]
+            assert len(stats) == 44
+            assert {(st.st_ino, st.st_nlink) for st in stats} == {(stats[0].st_ino, 44)}
+        for name in linked:
+            if linked[name] not in (self.ZERO_PGM, self.ZERO_MFM):
+                assert os.stat(tmp_path / "linked" / name).st_nlink == 1
+
+    @pytest.mark.parametrize("failure", [errno.EMLINK, errno.EPERM, errno.ENOTSUP])
+    def test_a_link_that_fails_is_written_instead(self, monkeypatch, tmp_path, failure):
+        cfg = RunConfig(emit_float_maps=True, map_scale=4, window_size=20, overlap=5)
+        copied_run(monkeypatch, tmp_path / "copied", cfg)
+        real_link, links = os.link, {}
+
+        def limited_link(source, target):
+            # EMLINK once a file has three links; the other errors always
+            if failure != errno.EMLINK or links.get(source, 0) == 3:
+                raise OSError(failure, os.strerror(failure), source, target)
+            links[source] = links.get(source, 0) + 1
+            real_link(source, target)
+
+        monkeypatch.setattr(os, "link", limited_link)
+        out = tmp_path / "o"
+        run_stream(iter(climb_poses()), WIDE, cfg, str(out))
+        assert contents(out) == contents(tmp_path / "copied")
+        nlinks = {os.stat(out / n).st_nlink for n in os.listdir(out)}
+        assert nlinks == ({1, 4} if failure == errno.EMLINK else {1})
+
+    def test_run_failing_mid_stream_leaves_a_prefix(self, tmp_path):
+        # depth maps run out at frame 40
+        depth_dir = tmp_path / "depth"
+        depth_dir.mkdir()
+        for frame in range(2, 40):
+            write_depth_map(np.full((120, 160), 10.0), depth_dir / f"depth_{frame:06d}.mfd")
+        out = tmp_path / "o"
+        cfg = RunConfig(threads=2, map_scale=4, window_size=20, overlap=5)
+        with pytest.raises(FileNotFoundError, match="depth_000040"):
+            run_stream(iter(climb_poses()), WIDE, cfg, str(out), depth_dir=str(depth_dir))
+        assert sorted(os.listdir(out)) == sorted(
+            f"{kind}_{frame:06d}.{ext}" for frame in range(2, 40)
+            for kind, ext in (("focus", "pgm"), ("depth_mod", "mfd")))
+        assert len({os.stat(out / f"focus_{f:06d}.pgm").st_ino for f in range(2, 40)}) < 38
+
+    def test_run_interrupted_in_a_link_leaves_no_temp_file(self, monkeypatch, tmp_path):
+        real_replace, links = os.replace, []
+
+        def interrupted(source, target):
+            if os.stat(source).st_nlink > 1:  # the rename of a link
+                links.append(target)
+                if len(links) == 5:
+                    raise KeyboardInterrupt
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        out = tmp_path / "o"
+        cfg = RunConfig(map_scale=4, window_size=20, overlap=5)
+        with pytest.raises(KeyboardInterrupt):
+            run_stream(iter(climb_poses()), WIDE, cfg, str(out))
+        names = sorted(os.listdir(out))
+        assert not [n for n in names if n.startswith(".tmp-")]
+        assert names == [f"focus_{frame:06d}.pgm" for frame in range(2, 2 + len(names))]
+        assert os.path.basename(links[-1]) == f"focus_{2 + len(names):06d}.pgm"
+
+    def test_second_run_leaves_a_file_linked_from_outside_alone(self, tmp_path):
+        out, keep = tmp_path / "o", tmp_path / "keep.pgm"
+        cfg = RunConfig(map_scale=4, window_size=20, overlap=5)
+        run_stream(iter(climb_poses()), WIDE, cfg, str(out))
+        zeros = [n for n in sorted(os.listdir(out)) if (out / n).read_bytes() == self.ZERO_PGM]
+        keep.write_bytes(b"kept")
+        for name in zeros[:2]:  # the run's first zero map, written, and a linked one
+            os.unlink(out / name)
+            os.link(keep, out / name)
+        inode = os.stat(keep).st_ino
+        run_stream(iter(climb_poses()), WIDE, cfg, str(out))
+        assert keep.read_bytes() == b"kept"
+        assert os.stat(keep).st_ino == inode and os.stat(keep).st_nlink == 1
+        for name in zeros[:2]:
+            assert (out / name).read_bytes() == self.ZERO_PGM
