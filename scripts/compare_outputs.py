@@ -4,8 +4,9 @@ Usage: python3 scripts/compare_outputs.py [--emit-float-maps] TREE_A TREE_B [SEE
        python3 scripts/compare_outputs.py --dirs A B
 Runs each seed's long_stream and batched_stitch inputs (perfbench/workloads.py) through both trees'
 src/, with .mfm sidecars on request (or takes two output trees) and prints if the summary counters
-match, the maps, CSV rows and other files that differ, and the largest differences, maps against
-golden's max(8, 0.1%)."""
+match, each tree's count of map files and of distinct inodes among them (links share one), the
+maps, CSV rows and other files that differ, and the largest differences, maps against golden's
+max(8, 0.1%)."""
 import json, os, subprocess, sys, tempfile  # noqa: E401
 import numpy as np
 
@@ -27,6 +28,9 @@ def compare(dir_a, dir_b):
     a, b = ({os.path.relpath(os.path.join(d, n), root): os.path.join(d, n)
              for d, _, names in os.walk(root) for n in names} for root in (dir_a, dir_b))
     maps, other = [], sorted(set(a) ^ set(b))
+    for tree, files in zip("AB", (a, b)):  # hard links share an inode
+        outputs = [path for name, path in files.items() if not name.endswith(".csv")]
+        print(f"  {tree}: {len(outputs)} map files, {len({os.stat(p).st_ino for p in outputs})} inodes")
     for name in sorted(set(a) & set(b)):
         x, y = open(a[name], "rb").read(), open(b[name], "rb").read()
         if name.endswith(".csv"):

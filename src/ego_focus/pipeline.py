@@ -5,8 +5,11 @@ to focus points, and rendered frame by frame. State is bounded by the
 window size, the trailing point window and the map resolution, never
 by stream length; outputs are written per frame through atomic
 temp-file renames, so an interrupted run leaves only complete files.
-A zero map (no contributing kernel) is a hard link to the run's first
-zero map, so editing one in place edits them all.
+A map that is all zero (no contributing kernel), or whose window did not
+change, is a hard link to the file last written with its bytes, so editing
+one in place edits them all. The window is unchanged when the frame's new
+sample is not projectable and neither is the one it evicts; with a depth
+directory every frame renders, as its depth output reads its own depth map.
 
 Rendering and encoding (and only those) can fan out over a small thread
 pool, sized by the EGO_FOCUS_THREADS environment variable (0 = auto, at
@@ -269,24 +272,39 @@ def run_stream_batches(batches: Iterable[PoseBatch], intrinsics: Intrinsics,
     motion = MotionStream(intrinsics, fcfg)
     window: deque[tuple[float, float, float, bool]] = deque(maxlen=cfg.focus_n)
     summary = RunSummary()
-    pending: deque[Future] = deque()
-    max_inflight = 2 * n_threads
+    # Each frame, in frame order: its frame number and its writer result, the
+    # pool's Future for one, or None for a repeat frame (see the loop below).
+    pending: deque[tuple[int, object]] = deque()
+    max_inflight = 2 * n_threads if n_threads > 1 else 1
 
-    # id of a zero payload -> the file last written with it, which its later
-    # outputs link to; an output that cannot be linked is written instead.
-    sources: dict[int, str] = {}
+    # id of a payload -> (the payload, the file last written with it), which
+    # later outputs with that payload link to: the run's zero payloads and the
+    # previous frame's payloads. An output that cannot be linked is written
+    # instead and becomes the source.
+    sources: dict[int, tuple[bytes, str]] = {}
+    last: list = [0, []]  # the previous frame's contributing points and payloads
 
-    def _finish(rendered: tuple[int, list[tuple[str, bytes]]]) -> None:
-        contributing, outputs = rendered
+    def _finish(frame: int, job) -> None:
+        rendered = job.result() if isinstance(job, Future) else job
+        if rendered is None:  # a repeat (there are none with depth outputs)
+            outputs = [(os.path.join(out_dir, streams.focus_map_name(frame, ext)), data)
+                       for ext, data in zip(("pgm", "mfm"), last[1])]
+        else:
+            for data in last[1]:
+                if data is not writer.zero_pgm and data is not writer.zero_mfm:
+                    del sources[id(data)]
+            outputs = rendered[1]
+            last[:] = rendered[0], [data for _, data in outputs]
         for path, data in outputs:
-            try:
-                streams.link_replacing(sources[id(data)], path)
-            except (KeyError, OSError):  # no source yet, or EMLINK, EPERM, ENOTSUP
-                streams.atomic_write_bytes(path, data)
-                if data is writer.zero_pgm or data is writer.zero_mfm:
-                    sources[id(data)] = path
+            held, source = sources.get(id(data), (None, ""))
+            with contextlib.suppress(OSError):  # EMLINK, EPERM, ENOTSUP: written instead
+                if held is data:
+                    streams.link_replacing(source, path)
+                    continue
+            streams.atomic_write_bytes(path, data)
+            sources[id(data)] = (data, path)
         summary.maps_written += 1
-        if contributing == 0:
+        if last[0] == 0:
             summary.zero_maps += 1
 
     # On an exception the CSV writers drop their partial files; the pool
@@ -325,21 +343,27 @@ def run_stream_batches(batches: Iterable[PoseBatch], intrinsics: Intrinsics,
 
             scale = float(cfg.map_scale)
             for i in range(len(block)):
+                ok = bool(block.projectable[i])
+                # A repeat frame: its sample is not projectable, and neither is
+                # the one it evicts, if any, so its map has the previous
+                # frame's projectable points and bytes. A depth output reads
+                # the frame's own depth map, so with one every frame renders.
+                repeat = (not ok and depth_dir is None and bool(window)
+                          and (len(window) < cfg.focus_n or not window[0][3]))
                 window.append((block.uv[i, 0] / scale, block.uv[i, 1] / scale,
-                               float(block.magnitude[i]), bool(block.projectable[i])))
-                snap = [w for w in window if w[3]]
-                us = np.array([w[0] for w in snap])
-                vs = np.array([w[1] for w in snap])
-                mags = np.array([w[2] for w in snap])
+                               float(block.magnitude[i]), ok))
                 frame = int(block.frames[i])
-                if executor is None:
-                    _finish(writer(frame, us, vs, mags))
-                else:
-                    pending.append(executor.submit(writer, frame, us, vs, mags))
-                    while len(pending) >= max_inflight:
-                        _finish(pending.popleft().result())
+                job = None
+                if not repeat:
+                    snap = [w for w in window if w[3]]
+                    args = (frame, np.array([w[0] for w in snap]),
+                            np.array([w[1] for w in snap]), np.array([w[2] for w in snap]))
+                    job = writer(*args) if executor is None else executor.submit(writer, *args)
+                pending.append((frame, job))
+                while len(pending) >= max_inflight:
+                    _finish(*pending.popleft())
         while pending:
-            _finish(pending.popleft().result())
+            _finish(*pending.popleft())
 
     # A completed run emits every frame it was given exactly once.
     summary.frames_in = summary.frames_emitted

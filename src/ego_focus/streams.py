@@ -68,7 +68,7 @@ def _renamed_onto(path: Union[str, os.PathLike], create: Callable[[str], object]
     """``create(tmp)`` on a new random ``.tmp-*`` name beside ``path``, for the block.
 
     ``tmp`` is renamed onto ``path`` when the block ends cleanly and removed
-    on any exception. A failed create is raised naming ``path``, not ``tmp``.
+    on any exception. A failed create or rename is raised naming ``path``, not ``tmp``.
     """
     directory = os.path.dirname(os.fspath(path)) or "."
     while True:
@@ -82,7 +82,10 @@ def _renamed_onto(path: Union[str, os.PathLike], create: Callable[[str], object]
             raise OSError(err.errno, err.strerror, os.fspath(path)) from err
     try:
         yield made
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as err:
+            raise OSError(err.errno, err.strerror, os.fspath(path)) from err
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)

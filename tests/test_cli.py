@@ -453,6 +453,20 @@ class TestRun:
         assert err.startswith("error: ") and "nodir/r.csv" in err
         assert ".tmp-" not in err
 
+    def test_failed_rename_onto_a_directory_names_the_target(self, tmp_path, capsys):
+        poses = sim(tmp_path)
+        k_path = tmp_path / "k.json"
+        write_intrinsics(WIDE, k_path)
+        out = tmp_path / "o"
+        (out / "focus_000002.pgm").mkdir(parents=True)
+        rc = main(["run", "--poses", str(poses), "--intrinsics", str(k_path),
+                   "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "focus_000002.pgm" in err
+        assert ".tmp-" not in err
+        assert not [n for n in os.listdir(out) if n.startswith(".tmp-")]
+
 
 class TestBench:
     def test_tiny_bench_writes_csv(self, tmp_path):

@@ -1,7 +1,9 @@
+import dataclasses
 import errno
 import os
 import tempfile
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,22 +13,28 @@ from ego_focus import (
     ConfigError,
     FocusConfig,
     Intrinsics,
+    MotionStream,
     PlanError,
     RunConfig,
     ScenarioSpec,
     generate_trajectory,
     iter_windows,
+    load_pose_batches,
+    modulate_depth,
     perturb_batches,
     plan_windows,
     read_depth_map,
     read_focus_map_float,
     read_pgm,
+    render_focus_map,
     run_stream,
     run_stream_batches,
     write_depth_map,
+    write_pose_stream,
 )
 from ego_focus import streams
 from ego_focus.errors import StreamFormatError
+from ego_focus.motion import DEFAULT_FOCUS_N
 from ego_focus.pipeline import THREADS_ENV_VAR, _FrameWriter, resolve_threads
 
 WIDE = Intrinsics(fx=10.0, fy=10.0, cx=320.0, cy=240.0, width=640, height=480)
@@ -529,3 +537,172 @@ class TestZeroMapLinks:
         assert os.stat(keep).st_ino == inode and os.stat(keep).st_nlink == 1
         for name in zeros[:2]:
             assert (out / name).read_bytes() == self.ZERO_PGM
+
+
+LONG = Intrinsics(fx=40.0, fy=40.0, cx=320.0, cy=240.0, width=640, height=480)
+
+
+def long_arc_poses(frames=150):
+    # long_stream's arc; at map scale 8 (80x60 maps) about half of its
+    # samples are not projectable, and 39 of its 148 maps are repeats
+    spec = ScenarioSpec(kind="arc", frames=frames, radius=50.0, omega=0.01, bob_amplitude=0.002,
+                        jitter_amplitude_rad=0.001, noise_kind="white")
+    poses, _ = generate_trajectory(spec)
+    return poses
+
+
+class TestRepeatFrames:
+    """A frame whose new sample and evicted sample are both not projectable
+    (a repeat) is not rendered: its maps link the previous frame's."""
+
+    def run(self, monkeypatch, out, depth_dir=None, **cfg):
+        """A run's summary, focus points and the frames _FrameWriter rendered."""
+        blocks, rendered = [], []
+        real_push, real_call = MotionStream.push, _FrameWriter.__call__
+
+        def push(stream, poses):
+            blocks.append(real_push(stream, poses))
+            return blocks[-1]
+
+        def call(writer, frame, *arrays):
+            rendered.append(frame)
+            return real_call(writer, frame, *arrays)
+
+        with monkeypatch.context() as m:
+            m.setattr(MotionStream, "push", push)
+            m.setattr(_FrameWriter, "__call__", call)
+            cfg = RunConfig(map_scale=8, window_size=60, overlap=5, **cfg)
+            summary = run_stream(iter(long_arc_poses()), LONG, cfg, str(out), depth_dir=depth_dir)
+        return summary, [p for block in blocks for p in block.focus_points()], sorted(rendered)
+
+    @staticmethod
+    def repeats(points):
+        n = DEFAULT_FOCUS_N
+        return [j for j in range(1, len(points)) if not points[j].projectable
+                and (j < n or not points[j - n].projectable)]
+
+    @staticmethod
+    def fresh_maps(points):
+        """Each frame's map, rendered anew from its trailing focus window."""
+        n, k = DEFAULT_FOCUS_N, LONG.scaled(8)
+        scaled = [dataclasses.replace(p, u=p.u / 8, v=p.v / 8) if p.projectable else p
+                  for p in points]
+        return [render_focus_map(scaled[max(0, j - n + 1):j + 1], k, FocusConfig())
+                for j in range(len(points))]
+
+    @pytest.mark.parametrize("emit_float", [False, True])
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_every_map_equals_a_fresh_render(self, monkeypatch, tmp_path, threads, emit_float):
+        out = tmp_path / "o"
+        summary, points, rendered = self.run(monkeypatch, out, threads=threads,
+                                             emit_float_maps=emit_float)
+        repeats, fmaps = self.repeats(points), self.fresh_maps(points)
+        assert len(points) == summary.maps_written == 148 and len(repeats) == 39
+        assert summary.zero_maps == sum(f.contributing_points == 0 for f in fmaps)
+        assert sum(fmaps[j].contributing_points > 0 for j in repeats) == 39
+        files = contents(out)
+        del files["focus_points.csv"]
+        exts = ["pgm", "mfm"] if emit_float else ["pgm"]
+        expected = {}
+        for p, fmap in zip(points, fmaps):
+            expected[f"focus_{p.frame_index:06d}.pgm"] = streams.pgm_bytes(fmap.values)
+            if emit_float:
+                expected[f"focus_{p.frame_index:06d}.mfm"] = streams.raw_map_bytes(
+                    fmap.values, streams.FOCUS_MAP_MAGIC)
+        assert files == expected
+        for j in repeats:
+            for ext in exts:
+                this, previous = (os.stat(out / f"focus_{points[i].frame_index:06d}.{ext}")
+                                  for i in (j, j - 1))
+                assert this.st_ino == previous.st_ino
+        assert rendered == [p.frame_index for j, p in enumerate(points) if j not in repeats]
+
+    def test_with_depth_maps_every_frame_renders(self, monkeypatch, tmp_path):
+        depth_dir, out = tmp_path / "depth", tmp_path / "o"
+        depth_dir.mkdir()
+        for frame in range(2, 150):
+            write_depth_map(np.full((60, 80), float(frame)), depth_dir / f"depth_{frame:06d}.mfd")
+        summary, points, rendered = self.run(monkeypatch, out, depth_dir=str(depth_dir),
+                                             threads=2)
+        assert rendered == [p.frame_index for p in points] and len(self.repeats(points)) == 39
+        for p, fmap in zip(points, self.fresh_maps(points)):
+            depth = read_depth_map(depth_dir / f"depth_{p.frame_index:06d}.mfd")
+            name = out / f"depth_mod_{p.frame_index:06d}.mfd"
+            assert name.read_bytes() == streams.raw_map_bytes(
+                modulate_depth(depth.astype(np.float64), fmap).astype(np.float32),
+                streams.DEPTH_MAP_MAGIC)
+            assert os.stat(name).st_nlink == 1
+            assert (out / f"focus_{p.frame_index:06d}.pgm").read_bytes() == \
+                streams.pgm_bytes(fmap.values)
+
+    @pytest.mark.parametrize("failure", [errno.EMLINK, errno.EPERM])
+    def test_a_link_that_fails_is_written_instead(self, monkeypatch, tmp_path, failure):
+        cfg = dict(threads=2, emit_float_maps=True)
+        def no_link(source, path):
+            raise OSError(errno.EPERM, "no links here")
+
+        with monkeypatch.context() as m:  # every output written as its own file
+            m.setattr(streams, "link_replacing", no_link)
+            self.run(monkeypatch, tmp_path / "copied", **cfg)
+        real_link, links, refused = os.link, {}, []
+
+        def limited_link(source, target):
+            # EMLINK once a file has one link (no map of this stream is on
+            # more than three frames in a row); EPERM always
+            if failure != errno.EMLINK or links.get(source, 0) == 1:
+                refused.append(source)
+                raise OSError(failure, os.strerror(failure), source, target)
+            links[source] = links.get(source, 0) + 1
+            real_link(source, target)
+
+        monkeypatch.setattr(os, "link", limited_link)
+        out = tmp_path / "o"
+        self.run(monkeypatch, out, **cfg)
+        assert contents(out) == contents(tmp_path / "copied")
+        assert refused and not [n for n in os.listdir(out) if n.startswith(".tmp-")]
+        # the file written in place of a refused link is the next link's source
+        assert len(set(refused)) == len(refused)
+        nlinks = [os.stat(out / n).st_nlink for n in os.listdir(out)]
+        assert max(nlinks) == (2 if failure == errno.EMLINK else 1)
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_run_failing_mid_stream_leaves_a_prefix(self, monkeypatch, tmp_path, threads):
+        real_call, failed = _FrameWriter.__call__, []
+
+        def failing(writer, frame, *arrays):
+            if frame >= 80:
+                failed.append(frame)
+                raise RuntimeError(f"frame {frame}")
+            return real_call(writer, frame, *arrays)
+
+        monkeypatch.setattr(_FrameWriter, "__call__", failing)
+        out = tmp_path / "o"
+        with pytest.raises(RuntimeError, match="frame"):
+            run_stream(iter(long_arc_poses()), LONG,
+                       RunConfig(threads=threads, map_scale=8, window_size=60, overlap=5),
+                       str(out))
+        stop = min(failed)
+        names = sorted(os.listdir(out))
+        assert names == [f"focus_{frame:06d}.pgm" for frame in range(2, stop)]
+        assert len({os.stat(out / n).st_ino for n in names}) < len(names)
+
+
+class TestRunMemory:
+    def test_peak_does_not_grow_with_the_stream(self, tmp_path):
+        """The paper's "manageable memory", on the whole run path: the
+        traced peaks of 200 and of 1,600 frames agree within 10%."""
+        poses = long_arc_poses(1600)
+        # 160x120 maps: their buffers keep the peak well above the 15-20 KB
+        # by which parse and CSV buffers move it from window to window.
+        cfg = RunConfig(map_scale=4, window_size=60, overlap=5)
+        peaks = []
+        for frames in (200, 1600):
+            path = tmp_path / f"poses{frames}.jsonl"
+            write_pose_stream(path, streams.records_from_poses(poses[:frames]))
+            tracemalloc.start()
+            try:
+                run_stream(load_pose_batches(path), LONG, cfg, str(tmp_path / f"o{frames}"))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
