@@ -4,10 +4,11 @@ Usage: python3 scripts/compare_outputs.py [--emit-float-maps] TREE_A TREE_B [SEE
        python3 scripts/compare_outputs.py --dirs A B
 Runs each seed's long_stream and batched_stitch inputs (perfbench/workloads.py) through both trees'
 src/, with .mfm sidecars on request (or takes two output trees) and prints if the summary counters
-match, each tree's count of map files and of distinct inodes among them (links share one), the
-maps, CSV rows and other files that differ, and the largest differences, maps against golden's
+match, each tree's count of map files, of distinct inodes among them (links share one) and of
+files with the previous frame's bytes (same kind) that are not a link to its file, the maps, CSV
+rows and other files that differ, and the largest differences, maps against golden's
 max(8, 0.1%)."""
-import json, os, subprocess, sys, tempfile  # noqa: E401
+import json, os, re, subprocess, sys, tempfile  # noqa: E401
 import numpy as np
 
 RUN = """import json, pickle, sys
@@ -29,8 +30,14 @@ def compare(dir_a, dir_b):
              for d, _, names in os.walk(root) for n in names} for root in (dir_a, dir_b))
     maps, other = [], sorted(set(a) ^ set(b))
     for tree, files in zip("AB", (a, b)):  # hard links share an inode
-        outputs = [path for name, path in files.items() if not name.endswith(".csv")]
-        print(f"  {tree}: {len(outputs)} map files, {len({os.stat(p).st_ino for p in outputs})} inodes")
+        # (kind, path) in order: each file follows the previous frame's file of its kind
+        outputs = sorted((re.sub(r"\d{6}", "", n), p) for n, p in files.items()
+                         if not n.endswith(".csv"))
+        copies = sum(k == j and os.stat(p).st_ino != os.stat(q).st_ino
+                     and open(p, "rb").read() == open(q, "rb").read()
+                     for (j, q), (k, p) in zip(outputs, outputs[1:]))
+        print(f"  {tree}: {len(outputs)} map files, {len({os.stat(p).st_ino for _, p in outputs})} "
+              f"inodes, {copies} with the previous frame's bytes in an inode of their own")
     for name in sorted(set(a) & set(b)):
         x, y = open(a[name], "rb").read(), open(b[name], "rb").read()
         if name.endswith(".csv"):

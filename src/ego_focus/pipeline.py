@@ -5,11 +5,12 @@ to focus points, and rendered frame by frame. State is bounded by the
 window size, the trailing point window and the map resolution, never
 by stream length; outputs are written per frame through atomic
 temp-file renames, so an interrupted run leaves only complete files.
-A map that is all zero (no contributing kernel), or whose window did not
-change, is a hard link to the file last written with its bytes, so editing
-one in place edits them all. The window is unchanged when the frame's new
-sample is not projectable and neither is the one it evicts; with a depth
-directory every frame renders, as its depth output reads its own depth map.
+An output with the same bytes as the previous frame's output of the same
+kind is a hard link to the file last written with those bytes, so editing
+one in place edits them all. A frame whose window did not change (its new
+sample is not projectable and neither is the one it evicts) is not rendered
+again: it takes the previous frame's payloads. With a depth directory every
+frame renders, as its depth output reads its own depth map.
 
 Rendering and encoding (and only those) can fan out over a small thread
 pool, sized by the EGO_FOCUS_THREADS environment variable (0 = auto, at
@@ -184,10 +185,10 @@ def iter_windows(poses: Iterable[PoseBatch],
 
 
 class _FrameWriter:
-    """Renders one frame's window of points and encodes its files.
+    """Renders one frame's window of points and encodes its outputs.
 
     A call returns the map's contributing-point count and the frame's
-    outputs as (path, bytes) pairs, for the caller to write.
+    payloads, in the order of the file names paths(frame) gives.
     """
 
     def __init__(self, out_dir: str, map_k: Intrinsics, sigma: float, cfg: FocusConfig,
@@ -205,8 +206,17 @@ class _FrameWriter:
         self.zero_pgm = streams.pgm_bytes(zero)
         self.zero_mfm = streams.raw_map_bytes(zero, streams.FOCUS_MAP_MAGIC) if emit_float else None
 
+    def paths(self, frame: int) -> list[str]:
+        """The frame's output files: the PGM, then the .mfm, then the depth .mfd."""
+        names = [streams.focus_map_name(frame)]
+        if self.emit_float:
+            names.append(streams.focus_map_name(frame, "mfm"))
+        if self.depth_dir is not None:
+            names.append(streams.depth_output_name(frame))
+        return [os.path.join(self.out_dir, name) for name in names]
+
     def __call__(self, frame: int, us: np.ndarray, vs: np.ndarray,
-                 mags: np.ndarray) -> tuple[int, list[tuple[str, bytes]]]:
+                 mags: np.ndarray) -> tuple[int, list[bytes]]:
         # Each thread renders and encodes in its own two map-sized arrays,
         # reused frame after frame instead of allocated afresh per map.
         buffers = getattr(self._buffers, "maps", None)
@@ -217,12 +227,10 @@ class _FrameWriter:
         fmap = _render_arrays(us, vs, mags, self.map_k.width, self.map_k.height,
                               self.sigma, self.cfg, out=acc, scratch=scratch)
         zero = fmap.contributing_points == 0
-        pgm = self.zero_pgm if zero else streams.pgm_bytes(fmap.values, scratch)
-        outputs = [(os.path.join(self.out_dir, streams.focus_map_name(frame)), pgm)]
+        payloads = [self.zero_pgm if zero else streams.pgm_bytes(fmap.values, scratch)]
         if self.emit_float:
-            mfm = self.zero_mfm if zero \
-                else streams.raw_map_bytes(fmap.values, streams.FOCUS_MAP_MAGIC)
-            outputs.append((os.path.join(self.out_dir, streams.focus_map_name(frame, "mfm")), mfm))
+            payloads.append(self.zero_mfm if zero
+                            else streams.raw_map_bytes(fmap.values, streams.FOCUS_MAP_MAGIC))
         if self.depth_dir is not None:
             depth_path = os.path.join(self.depth_dir, streams.depth_input_name(frame))
             depth = streams.read_depth_map(depth_path)
@@ -232,10 +240,9 @@ class _FrameWriter:
                     f"the focus map {fmap.width}x{fmap.height}"
                 )
             out = modulate_depth(depth.astype(np.float64), fmap)
-            outputs.append((os.path.join(self.out_dir, streams.depth_output_name(frame)),
-                            streams.raw_map_bytes(out.astype(np.float32),
-                                                  streams.DEPTH_MAP_MAGIC)))
-        return fmap.contributing_points, outputs
+            payloads.append(streams.raw_map_bytes(out.astype(np.float32),
+                                                  streams.DEPTH_MAP_MAGIC))
+        return fmap.contributing_points, payloads
 
 
 def run_stream(poses: Iterable[PoseBatch], intrinsics: Intrinsics,
@@ -272,39 +279,29 @@ def run_stream_batches(batches: Iterable[PoseBatch], intrinsics: Intrinsics,
     motion = MotionStream(intrinsics, fcfg)
     window: deque[tuple[float, float, float, bool]] = deque(maxlen=cfg.focus_n)
     summary = RunSummary()
-    # Each frame, in frame order: its frame number and its writer result, the
-    # pool's Future for one, or None for a repeat frame (see the loop below).
+    # Each frame, in frame order: its frame number and its writer result or
+    # the pool's Future for one (a repeat frame's is the previous frame's).
     pending: deque[tuple[int, object]] = deque()
     max_inflight = 2 * n_threads if n_threads > 1 else 1
 
-    # id of a payload -> (the payload, the file last written with it), which
-    # later outputs with that payload link to: the run's zero payloads and the
-    # previous frame's payloads. An output that cannot be linked is written
-    # instead and becomes the source.
-    sources: dict[int, tuple[bytes, str]] = {}
-    last: list = [0, []]  # the previous frame's contributing points and payloads
+    # Per output kind (pgm, mfm, depth mfd), the previous frame's payload and
+    # the file last written with it. An output with the same bytes links to
+    # that file; any other, or one that cannot be linked, is written and
+    # becomes the source.
+    sources: list[tuple[Optional[bytes], str]] = [(None, "")] * 3
 
     def _finish(frame: int, job) -> None:
-        rendered = job.result() if isinstance(job, Future) else job
-        if rendered is None:  # a repeat (there are none with depth outputs)
-            outputs = [(os.path.join(out_dir, streams.focus_map_name(frame, ext)), data)
-                       for ext, data in zip(("pgm", "mfm"), last[1])]
-        else:
-            for data in last[1]:
-                if data is not writer.zero_pgm and data is not writer.zero_mfm:
-                    del sources[id(data)]
-            outputs = rendered[1]
-            last[:] = rendered[0], [data for _, data in outputs]
-        for path, data in outputs:
-            held, source = sources.get(id(data), (None, ""))
+        contributing, payloads = job.result() if isinstance(job, Future) else job
+        for kind, (path, data) in enumerate(zip(writer.paths(frame), payloads)):
+            held, source = sources[kind]
             with contextlib.suppress(OSError):  # EMLINK, EPERM, ENOTSUP: written instead
-                if held is data:
+                if held == data:
                     streams.link_replacing(source, path)
                     continue
             streams.atomic_write_bytes(path, data)
-            sources[id(data)] = (data, path)
+            sources[kind] = (data, path)
         summary.maps_written += 1
-        if last[0] == 0:
+        if contributing == 0:
             summary.zero_maps += 1
 
     # On an exception the CSV writers drop their partial files; the pool
@@ -353,7 +350,6 @@ def run_stream_batches(batches: Iterable[PoseBatch], intrinsics: Intrinsics,
                 window.append((block.uv[i, 0] / scale, block.uv[i, 1] / scale,
                                float(block.magnitude[i]), ok))
                 frame = int(block.frames[i])
-                job = None
                 if not repeat:
                     snap = [w for w in window if w[3]]
                     args = (frame, np.array([w[0] for w in snap]),

@@ -370,9 +370,10 @@ def read_pgm(path: Union[str, os.PathLike]) -> np.ndarray:
     parts = data.split(b"\n", 3)
     if len(parts) < 4:
         raise StreamFormatError(f"{path}: truncated PGM header")
-    dims = parts[1].split()
-    w, h = int(dims[0]), int(dims[1])
-    maxval = int(parts[2])
+    fields = parts[1].split() + parts[2].split()
+    if len(fields) != 3 or not all(f.isdigit() for f in fields):
+        raise StreamFormatError(f"{path}: bad PGM header, expected integer width, height, maxval")
+    w, h, maxval = map(int, fields)
     if maxval != 255:
         raise StreamFormatError(f"{path}: unsupported maxval {maxval}")
     raw = parts[3]

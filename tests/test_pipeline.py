@@ -348,14 +348,21 @@ class TestRunStream:
 
 class TestOutputWrites:
     def test_calling_thread_writes_every_file_in_frame_order(self, monkeypatch, tmp_path):
+        # The noise-free arc has runs of identical maps, so some files are
+        # links: record each write with its bytes and each link with its source.
         calls = []
-        real = streams.atomic_write_bytes
+        real_write, real_link = streams.atomic_write_bytes, streams.link_replacing
 
-        def recording(path, data):
+        def write(path, data):
             calls.append((threading.get_ident(), os.path.basename(path), data))
-            real(path, data)
+            real_write(path, data)
 
-        monkeypatch.setattr(streams, "atomic_write_bytes", recording)
+        def link(source, path):
+            calls.append((threading.get_ident(), os.path.basename(path), os.path.basename(source)))
+            real_link(source, path)
+
+        monkeypatch.setattr(streams, "atomic_write_bytes", write)
+        monkeypatch.setattr(streams, "link_replacing", link)
         runs = {}
         for threads in (1, 2, 4):
             cfg = RunConfig(threads=threads, emit_float_maps=True, window_size=20, overlap=5)
@@ -367,6 +374,7 @@ class TestOutputWrites:
         for recorded in runs.values():
             assert {thread for thread, _, _ in recorded} == {caller}
             assert [name for _, name, _ in recorded] == expected
+        assert {type(what) for _, _, what in runs[1]} == {bytes, str}
         assert runs[2] == runs[1]
         assert runs[4] == runs[1]
 
@@ -375,12 +383,13 @@ class TestOutputWrites:
         writer = _FrameWriter("out", k, 3.2, FocusConfig(), False, None)
         assert writer.zero_pgm == streams.pgm_bytes(np.zeros((60, 80)))
         empty = np.empty(0)
-        contributing, outputs = writer(7, empty, empty, empty)
+        contributing, payloads = writer(7, empty, empty, empty)
         assert contributing == 0
-        assert outputs == [(os.path.join("out", "focus_000007.pgm"), writer.zero_pgm)]
+        assert writer.paths(7) == [os.path.join("out", "focus_000007.pgm")]
+        assert len(payloads) == 1 and payloads[0] is writer.zero_pgm
         # a kernel wholly off the image is also a zero map
         far = np.array([1e300])
-        assert writer(8, far, far, np.ones(1))[1][0][1] is writer.zero_pgm
+        assert writer(8, far, far, np.ones(1))[1][0] is writer.zero_pgm
 
     def test_wrong_size_depth_map_names_file_and_shapes(self, tmp_path):
         depth_dir = tmp_path / "depth"
@@ -449,33 +458,40 @@ class TestZeroMapLinks:
     @pytest.mark.parametrize("emit_float", [False, True])
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_zero_maps_are_links_to_one_file(self, monkeypatch, tmp_path, threads, emit_float):
+        """A file shares the previous frame's inode if and only if it has the
+        previous frame's bytes, so each run of zero maps is one file."""
         cfg = RunConfig(threads=threads, emit_float_maps=emit_float, map_scale=4,
                         window_size=20, overlap=5)
-        summary = run_stream(iter(climb_poses()), WIDE, cfg, str(tmp_path / "linked"))
+        out = tmp_path / "linked"
+        summary = run_stream(iter(climb_poses()), WIDE, cfg, str(out))
         copied_run(monkeypatch, tmp_path / "copied", cfg)
         assert summary.zero_maps == 44 and summary.maps_written == 88
-        linked = contents(tmp_path / "linked")
+        linked = contents(out)
         assert linked == contents(tmp_path / "copied")
         kinds = [("pgm", self.ZERO_PGM)] + [("mfm", self.ZERO_MFM)] * emit_float
+        assert len(linked) == 1 + 88 * len(kinds)
         for ext, zero in kinds:
-            names = [n for n in linked if n.endswith(ext)]
-            assert len(names) == 88
-            stats = [os.stat(tmp_path / "linked" / n) for n in names if linked[n] == zero]
-            assert len(stats) == 44
-            assert {(st.st_ino, st.st_nlink) for st in stats} == {(stats[0].st_ino, 44)}
-        for name in linked:
-            if linked[name] not in (self.ZERO_PGM, self.ZERO_MFM):
-                assert os.stat(tmp_path / "linked" / name).st_nlink == 1
+            names = [f"focus_{frame:06d}.{ext}" for frame in range(2, 90)]
+            stats = [os.stat(out / n) for n in names]
+            for j in range(1, len(names)):
+                same_bytes = linked[names[j]] == linked[names[j - 1]]
+                assert (stats[j].st_ino == stats[j - 1].st_ino) == same_bytes, names[j]
+            for st in stats:
+                assert st.st_nlink == sum(s.st_ino == st.st_ino for s in stats)
+            # the climb's 44 zero maps come in two runs, of 30 and of 14 frames
+            zeros = [st.st_ino for n, st in zip(names, stats) if linked[n] == zero]
+            assert sorted(zeros.count(ino) for ino in set(zeros)) == [14, 30]
 
     @pytest.mark.parametrize("failure", [errno.EMLINK, errno.EPERM, errno.ENOTSUP])
     def test_a_link_that_fails_is_written_instead(self, monkeypatch, tmp_path, failure):
         cfg = RunConfig(emit_float_maps=True, map_scale=4, window_size=20, overlap=5)
         copied_run(monkeypatch, tmp_path / "copied", cfg)
-        real_link, links = os.link, {}
+        real_link, links, refused = os.link, {}, []
 
         def limited_link(source, target):
             # EMLINK once a file has three links; the other errors always
             if failure != errno.EMLINK or links.get(source, 0) == 3:
+                refused.append(source)
                 raise OSError(failure, os.strerror(failure), source, target)
             links[source] = links.get(source, 0) + 1
             real_link(source, target)
@@ -484,8 +500,11 @@ class TestZeroMapLinks:
         out = tmp_path / "o"
         run_stream(iter(climb_poses()), WIDE, cfg, str(out))
         assert contents(out) == contents(tmp_path / "copied")
-        nlinks = {os.stat(out / n).st_nlink for n in os.listdir(out)}
-        assert nlinks == ({1, 4} if failure == errno.EMLINK else {1})
+        assert refused and not [n for n in os.listdir(out) if n.startswith(".tmp-")]
+        # the file written in place of a refused link is the next link's source
+        assert len(set(refused)) == len(refused)
+        nlinks = [os.stat(out / n).st_nlink for n in os.listdir(out)]
+        assert max(nlinks) == (4 if failure == errno.EMLINK else 1)
 
     def test_run_failing_mid_stream_leaves_a_prefix(self, tmp_path):
         # depth maps run out at frame 40

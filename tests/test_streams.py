@@ -446,6 +446,14 @@ class TestPgm:
         with pytest.raises(ValueError):
             pgm_bytes(np.zeros(5))
 
+    @pytest.mark.parametrize("header", [b"P5\n80\n255\n", b"P5\nx y\n255\n",
+                                        b"P5\n2 2\nabc\n", b"P5\n-2 2\n255\n"])
+    def test_reader_rejects_a_malformed_header(self, tmp_path, header):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(header + b"\x00" * 16)
+        with pytest.raises(StreamFormatError, match=r"bad\.pgm: bad PGM header"):
+            read_pgm(path)
+
 
 class TestRawFloatMaps:
     def test_focus_map_header_layout(self, tmp_path):
