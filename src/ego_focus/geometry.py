@@ -373,6 +373,20 @@ def _gravity_ypr(m: np.ndarray) -> GravityYpr:
     return GravityYpr(_wrap_pi(yaw), pitch, _wrap_pi(roll))
 
 
+def window_median(values: np.ndarray) -> float:
+    """np.median of a short non-empty 1-d array, from one sort.
+
+    The middle value, or the mean of the middle two; NaN if any value is
+    NaN (a sort puts NaN last). np.median costs about 20 us a call on 15
+    values against 2 us.
+    """
+    ranked = np.sort(values).tolist()
+    mid = len(ranked) // 2
+    if ranked[-1] != ranked[-1]:
+        return math.nan
+    return ranked[mid] if len(ranked) % 2 else (ranked[mid - 1] + ranked[mid]) / 2.0
+
+
 def rotation_angle(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Geodesic angle in radians between two rotation matrices, or row by row between two stacks."""
     cos_theta = (np.trace(a @ np.swapaxes(b, -1, -2), axis1=-2, axis2=-1) - 1.0) / 2.0

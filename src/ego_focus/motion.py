@@ -15,6 +15,7 @@ Everything here is causal: the map for frame t depends only on frames
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -26,6 +27,7 @@ from .geometry import (
     Intrinsics,
     PoseBatch,
     project_pinhole_many,
+    window_median,
 )
 
 DEFAULT_FOCUS_N = 15
@@ -41,6 +43,10 @@ DEFAULT_DEPTH_ALPHA = 0.15
 # (not an additive term) so that scaling every magnitude by a common
 # factor leaves the ratios, and hence the rendered maps, unchanged.
 _MEDIAN_GUARD = 1e-12
+
+# Rows and columns of a rectangle of a map, as index slices.
+Footprint = tuple[slice, slice]
+_EMPTY: Footprint = (slice(0, 0), slice(0, 0))
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,11 +106,14 @@ class FocusMap:
     values is (height, width) float64 in [0, 1]; with peak
     normalization the maximum is 1 whenever contributing_points >= 1.
     contributing_points counts projectable points whose truncated
-    kernel actually intersected the image.
+    kernel actually intersected the image. footprint, the rows and the
+    columns of values as two slices, holds every non-zero value; by
+    default it is the whole map.
     """
 
     values: np.ndarray
     contributing_points: int
+    footprint: Footprint = (slice(None), slice(None))
 
     @property
     def height(self) -> int:
@@ -140,79 +149,88 @@ def _gaussians(grid: np.ndarray, centres: np.ndarray, denom: np.ndarray) -> np.n
 def _render_arrays(us: np.ndarray, vs: np.ndarray, mags: np.ndarray,
                    width: int, height: int, sigma: float, cfg: FocusConfig,
                    out: Optional[np.ndarray] = None,
-                   scratch: Optional[np.ndarray] = None) -> FocusMap:
+                   scratch: Optional[np.ndarray] = None,
+                   stale: Optional[Footprint] = None) -> FocusMap:
     """Accumulate truncated separable Gaussian kernels and normalize.
 
     Each kernel is evaluated on the axis-aligned window
     |du|, |dv| <= DEFAULT_TRUNCATION_RADIUS * sigma * s_i and is exactly
     zero outside it; the largest neglected value is exp(-3^2 / 2), about
-    0.011, pre-normalization.
+    0.011, pre-normalization. Only the map's footprint, the union of
+    the kernel windows, is normalized.
 
     ``out`` and ``scratch`` are optional writable float64 arrays of
     shape (height, width) that a caller rendering map after map reuses:
     the map is accumulated in ``out`` and the kernel products go through
     ``scratch``. The returned values are then a read-only view of
-    ``out``, valid until it is used again.
+    ``out``, valid until it is used again. ``stale`` is the part of
+    ``out`` that may hold non-zeros, the previous map's footprint when
+    that render returned; only it is cleared. Without it ``out`` is
+    cleared whole.
     """
     kernels = []
-    if us.size:
-        # The window median (the middle value, or the mean of the middle
-        # two) from one sort: np.median costs about 20 us a call on 15
-        # values against 2 us, added to every map. Then the clamped widths.
-        ranked = np.sort(mags)
-        mid = ranked.size // 2
-        median = ranked[mid] if ranked.size % 2 else (ranked[mid - 1] + ranked[mid]) / 2.0
-        scales = mags / max(float(median), _MEDIAN_GUARD)
-        np.maximum(scales, DEFAULT_S_CLAMP[0], out=scales)
-        np.minimum(scales, DEFAULT_S_CLAMP[1], out=scales)
-        sd = sigma * scales
-        half = DEFAULT_TRUNCATION_RADIUS * sd
-        # Window bounds of every kernel, rows (u, x) and (v, y), clipped
-        # to the image. They stay floats until the kernels that miss the
-        # image are dropped, so a far-off centre (|u| near 1e300 when a_z
-        # is close to eps_z) is never cast to an int.
-        centres = np.stack((us, vs))
-        lo = np.ceil(centres - half)
-        hi = np.floor(centres + half)
-        np.maximum(lo, 0.0, out=lo)
-        np.minimum(hi, [[width - 1], [height - 1]], out=hi)
-        hit = (lo <= hi).all(axis=0)
-        if hit.any():
-            us, vs, sd = us[hit], vs[hit], sd[hit]
-            lo = lo[:, hit].astype(np.intp)
-            hi = hi[:, hit].astype(np.intp) + 1
-            denom = (2.0 * sd * sd)[:, None]
-            rows = _gaussians(np.arange(width, dtype=np.float64), us, denom)
-            cols = _gaussians(np.arange(height, dtype=np.float64), vs, denom)
-            # Per kernel: x0, x1, y0, y1 (ends exclusive), its row over
-            # x0:x1 and its column over the whole map height.
-            kernels = [(x0, x1, y0, y1, rows[k, x0:x1], cols[k])
-                       for k, (x0, y0, x1, y1) in enumerate(zip(*lo.tolist(), *hi.tolist()))]
-    acc = np.empty((height, width)) if out is None else out
+    footprint = _EMPTY
+    if len(us):
+        # Window bounds of every kernel, clipped to the image, in Python
+        # floats. The float comparisons come first, so a far-off centre
+        # (|u| near 1e300 when a_z is close to eps_z), an infinite or a NaN
+        # one is dropped before any int cast.
+        median = max(window_median(mags), _MEDIAN_GUARD)
+        s_lo, s_hi = DEFAULT_S_CLAMP
+        kept = []
+        for u, v, m in zip(us.tolist(), vs.tolist(), mags.tolist()):
+            sd = sigma * min(max(m / median, s_lo), s_hi)
+            half = DEFAULT_TRUNCATION_RADIUS * sd
+            u0, u1, v0, v1 = u - half, u + half, v - half, v + half
+            if u0 <= width - 1 and u1 >= 0.0 and v0 <= height - 1 and v1 >= 0.0:
+                x0, x1 = math.ceil(max(u0, 0.0)), math.floor(min(u1, width - 1)) + 1
+                y0, y1 = math.ceil(max(v0, 0.0)), math.floor(min(v1, height - 1)) + 1
+                if x0 < x1 and y0 < y1:
+                    kept.append((u, v, 2.0 * sd * sd, x0, x1, y0, y1))
+        if kept:
+            ku, kv, kd, x0s, x1s, y0s, y1s = zip(*kept)
+            left, right, top, bottom = min(x0s), max(x1s), min(y0s), max(y1s)
+            footprint = (slice(top, bottom), slice(left, right))
+            # Rows over the footprint's columns and columns over its rows;
+            # per kernel (window ends exclusive) its own stretch of each.
+            denom = np.array(kd)[:, None]
+            rows = _gaussians(np.arange(left, right, dtype=np.float64), np.array(ku), denom)
+            cols = _gaussians(np.arange(top, bottom, dtype=np.float64), np.array(kv), denom)
+            kernels = [(x0, x1, y0, y1, rows[k, x0 - left:x1 - left], cols[k, y0 - top:y1 - top])
+                       for k, (x0, x1, y0, y1) in enumerate(zip(x0s, x1s, y0s, y1s))]
+    if out is None:
+        acc, stale = np.zeros((height, width)), _EMPTY
+    else:
+        acc, stale = out, (slice(0, height), slice(0, width)) if stale is None else stale
     band = max(1, _BAND_BYTES // acc[0].nbytes)
     products = np.empty(min(band, height) * width) if scratch is None else scratch.reshape(-1)
     old_bufsize = None if acc.size <= _DEFAULT_UFUNC_BUFSIZE else np.setbufsize(_UFUNC_BUFSIZE)
+    stale_rows, stale_cols = stale
     try:
-        for b0 in range(0, height, band):
+        for b0 in range(min(footprint[0].start, stale_rows.start),
+                        max(footprint[0].stop, stale_rows.stop), band):
             b1 = b0 + band
-            acc[b0:b1] = 0.0
+            acc[max(b0, stale_rows.start):min(b1, stale_rows.stop), stale_cols] = 0.0
             for x0, x1, y0, y1, row, col in kernels:
                 top, bottom = max(y0, b0), min(y1, b1)
                 if top < bottom:
                     product = products[:(bottom - top) * (x1 - x0)].reshape(bottom - top, x1 - x0)
-                    np.multiply(col[top:bottom, None], row, out=product)
+                    np.multiply(col[top - y0:bottom - y0, None], row, out=product)
                     window = acc[top:bottom, x0:x1]
                     np.add(window, product, out=window)
     finally:
         if old_bufsize is not None:
             np.setbufsize(old_bufsize)
     if kernels:
-        z = float(acc.max()) if cfg.normalize == "peak" else float(acc.sum())
+        # Outside the footprint every value is 0: it changes neither the
+        # peak nor, divided, itself.
+        window = acc[footprint]
+        z = float(window.max()) if cfg.normalize == "peak" else float(acc.sum())
         if z > 0.0:
-            acc /= z
+            np.divide(window, z, out=window)
     values = acc if out is None else acc.view()
     values.flags.writeable = False
-    return FocusMap(values=values, contributing_points=len(kernels))
+    return FocusMap(values=values, contributing_points=len(kernels), footprint=footprint)
 
 
 def render_focus_map(points: Sequence[FocusPoint], k: Intrinsics, cfg: FocusConfig) -> FocusMap:

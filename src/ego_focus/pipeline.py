@@ -7,15 +7,19 @@ by stream length; outputs are written per frame through atomic
 temp-file renames, so an interrupted run leaves only complete files.
 An output with the same bytes as the previous frame's output of the same
 kind is a hard link to the file last written with those bytes, so editing
-one in place edits them all. A frame whose window did not change (its new
-sample is not projectable and neither is the one it evicts) is not rendered
-again: it takes the previous frame's payloads. With a depth directory every
-frame renders, as its depth output reads its own depth map.
+one in place edits them all; a link is complete when it appears, so it
+goes straight onto a name no file has yet. A frame whose window did not
+change (its new sample is not projectable and neither is the one it
+evicts) is not rendered again: it takes the previous frame's payloads.
+With a depth directory every frame renders, as its depth output reads
+its own depth map.
 
 Rendering and encoding (and only those) can fan out over a small thread
 pool, sized by the EGO_FOCUS_THREADS environment variable (0 = auto, at
 most 8). Each frame's map is computed by exactly one worker with a fixed
 internal order, so results are byte-identical for any thread count.
+A worker clears its map buffer, finds the peak, divides and encodes the
+PGM only over the footprint, the union of the map's kernel windows.
 Workers hand back encoded bytes; the calling thread creates or links
 every file, in frame order, so an interrupted run leaves a contiguous
 prefix of frames and no directory has two threads creating files in it.
@@ -218,16 +222,21 @@ class _FrameWriter:
     def __call__(self, frame: int, us: np.ndarray, vs: np.ndarray,
                  mags: np.ndarray) -> tuple[int, list[bytes]]:
         # Each thread renders and encodes in its own two map-sized arrays,
-        # reused frame after frame instead of allocated afresh per map.
+        # reused frame after frame instead of allocated afresh per map, and
+        # keeps the footprint of the map left in the first (None: unknown,
+        # as after a render that raised).
         buffers = getattr(self._buffers, "maps", None)
         if buffers is None:
             shape = (self.map_k.height, self.map_k.width)
-            buffers = self._buffers.maps = (np.empty(shape), np.empty(shape))
-        acc, scratch = buffers
+            buffers = self._buffers.maps = [np.empty(shape), np.empty(shape), None]
+        acc, scratch, stale = buffers
+        buffers[2] = None
         fmap = _render_arrays(us, vs, mags, self.map_k.width, self.map_k.height,
-                              self.sigma, self.cfg, out=acc, scratch=scratch)
+                              self.sigma, self.cfg, out=acc, scratch=scratch, stale=stale)
+        buffers[2] = fmap.footprint
         zero = fmap.contributing_points == 0
-        payloads = [self.zero_pgm if zero else streams.pgm_bytes(fmap.values, scratch)]
+        payloads = [self.zero_pgm if zero
+                    else streams.pgm_bytes(fmap.values, scratch, fmap.footprint)]
         if self.emit_float:
             payloads.append(self.zero_mfm if zero
                             else streams.raw_map_bytes(fmap.values, streams.FOCUS_MAP_MAGIC))

@@ -37,6 +37,7 @@ from .geometry import (
     rotation_about_gravity,
     rotation_angle,
     rotation_drift,
+    window_median,
 )
 
 logger = logging.getLogger(__name__)
@@ -235,7 +236,7 @@ def _estimate_scale(prev_centers: np.ndarray, local_centers: np.ndarray) -> floa
     usable = local_seg > _SCALE_SEGMENT_FLOOR
     if not np.any(usable):
         return 1.0
-    return float(np.median(prev_seg[usable] / local_seg[usable]))
+    return window_median(prev_seg[usable] / local_seg[usable])
 
 
 def stitch_step(state: StitchState, batch: PoseBatch, plan: WindowPlan,

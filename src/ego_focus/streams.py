@@ -14,7 +14,9 @@ round(255 * M)) and optionally as raw float32 sidecars with a 16-byte
 header: 8-byte magic, then width and height as little-endian uint32.
 Focus maps use magic "MFMAP\\0\\0\\0", depth maps "MFDEP\\0\\0\\0". Every
 file written to a path goes through a temp file + rename, so a killed
-run leaves only complete files.
+run leaves only complete files; a hard link, complete when it appears,
+goes straight onto a name no file has, and replaces one that exists
+through a temp name + rename.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import random
 import struct
 import sys
 from dataclasses import dataclass
@@ -42,6 +45,12 @@ DEPTH_MAP_MAGIC = b"MFDEP\x00\x00\x00"
 # of a live pipe runs ahead of the records it has handed on.
 _CHUNK_ROWS = 64
 _NUMBER_TYPES = {int, float}
+
+# Temp-file names come from a private generator, seeded from os.urandom
+# here and again in a forked child: creating a file makes no getrandom
+# call and leaves the random module's own sequence alone.
+_tmp_names = random.Random()
+os.register_at_fork(after_in_child=_tmp_names.seed)
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,7 +81,7 @@ def _renamed_onto(path: Union[str, os.PathLike], create: Callable[[str], object]
     """
     directory = os.path.dirname(os.fspath(path)) or "."
     while True:
-        tmp = os.path.join(directory, ".tmp-" + os.urandom(8).hex())
+        tmp = os.path.join(directory, ".tmp-%016x" % _tmp_names.getrandbits(64))
         try:
             made = create(tmp)
             break
@@ -92,13 +101,15 @@ def _renamed_onto(path: Union[str, os.PathLike], create: Callable[[str], object]
         raise
 
 
+def _create(tmp: str) -> int:
+    """A descriptor of a new file, mode 0666 less the umask (as open() would give)."""
+    return os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+
+
 @contextlib.contextmanager
-def _replacing(path: Union[str, os.PathLike], mode: str) -> Iterator[IO]:
-    """A new file, renamed onto ``path`` by _renamed_onto, mode 0666 less the umask
-    (as open() would give ``path``); ``mode`` is "w" (UTF-8 text) or "wb"."""
-    with _renamed_onto(path, lambda tmp: os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY,
-                                                 0o666)) as fd, \
-            os.fdopen(fd, mode, encoding=None if "b" in mode else "utf-8") as fh:
+def _replacing(path: Union[str, os.PathLike]) -> Iterator[IO[str]]:
+    """A new UTF-8 text file, renamed onto ``path`` by _renamed_onto."""
+    with _renamed_onto(path, _create) as fd, os.fdopen(fd, "w", encoding="utf-8") as fh:
         yield fh
 
 
@@ -118,7 +129,7 @@ def _text_file(target: Union[str, os.PathLike, IO[str]], mode: str,
     elif dash is not None and os.fspath(target) == "-":
         yield dash
     elif mode == "w" and (not os.path.exists(target) or os.path.isfile(target)):
-        with _replacing(target, mode) as fh:
+        with _replacing(target) as fh:
             yield fh
     else:
         with open(target, mode, encoding="utf-8") as fh:
@@ -333,28 +344,52 @@ def write_intrinsics(k: Intrinsics, target: Union[str, os.PathLike, IO[str]]) ->
 
 def atomic_write_bytes(path: Union[str, os.PathLike], data: bytes) -> None:
     """Write via temp file + rename; readers never see partial files."""
-    with _replacing(path, "wb") as fh:
-        fh.write(data)
+    with _renamed_onto(path, _create) as fd:
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
 
 
 def link_replacing(source: Union[str, os.PathLike], path: Union[str, os.PathLike]) -> None:
-    """Hard-link ``path`` to ``source`` by a temp name and a rename, as atomic_write_bytes."""
-    with _renamed_onto(path, lambda tmp: os.link(source, tmp)):
-        pass
+    """Hard-link ``path`` to ``source``.
+
+    A link is complete when it appears, so it goes straight onto an absent
+    ``path``; one that exists is replaced by a link to a temp name and a
+    rename, as atomic_write_bytes.
+    """
+    try:
+        os.link(source, path)
+    except FileExistsError:
+        with _renamed_onto(path, lambda tmp: os.link(source, tmp)):
+            pass
 
 
-def pgm_bytes(values: np.ndarray, scratch: Optional[np.ndarray] = None) -> bytes:
+def pgm_bytes(values: np.ndarray, scratch: Optional[np.ndarray] = None,
+              footprint: tuple[slice, slice] = (slice(None), slice(None))) -> bytes:
     """Encode a [0, 1] map as binary PGM (P5, maxval 255).
 
-    ``scratch``, a float64 array of the map's shape, takes the scaled
-    values in place of a fresh array.
+    Only ``footprint``, rows and columns as two slices, is encoded; every
+    pixel outside it is 0, as every value there must be. ``scratch``, a
+    float64 array at least the footprint's size, takes the scaled values
+    in place of a fresh array.
     """
     if values.ndim != 2:
         raise ValueError(f"expected a 2-d map, got shape {values.shape}")
     h, w = values.shape
-    scaled = np.multiply(values, 255.0, out=scratch)
+    header = b"P5\n%d %d\n255\n" % (w, h)
+    data = bytearray(len(header) + h * w)
+    data[:len(header)] = header
+    window = values[footprint]
+    if scratch is not None:
+        scratch = scratch.reshape(-1)[:window.size].reshape(window.shape)
+    scaled = np.multiply(window, 255.0, out=scratch)
     np.rint(scaled, out=scaled)
-    return b"P5\n%d %d\n255\n" % (w, h) + scaled.astype(np.uint8).tobytes()
+    pixels = np.frombuffer(data, np.uint8, offset=len(header)).reshape(h, w)
+    pixels[footprint] = scaled
+    return bytes(data)
 
 
 def write_pgm(values: np.ndarray, path: Union[str, os.PathLike]) -> None:

@@ -17,7 +17,7 @@ from ego_focus import (
     rotation_about_gravity,
     rotation_angle,
 )
-from ego_focus.geometry import orthonormalize, rotation_drift
+from ego_focus.geometry import orthonormalize, rotation_drift, window_median
 
 
 def random_rotation(rng):
@@ -364,6 +364,23 @@ class TestRotationHelpers:
         np.testing.assert_array_equal(drift, [rotation_drift(m) for m in r])
         assert np.isnan(drift[5]) and not drift[6] <= 1.0
         assert rotation_drift(r[:0]).shape == (0,)
+
+    @pytest.mark.parametrize("count", [1, 2, 5, 6, 15])
+    def test_window_median_equals_numpy(self, count):
+        rng = np.random.default_rng(count)
+        for _ in range(50):
+            values = rng.lognormal(0.0, 2.0, count) * rng.choice([-1.0, 1.0], count)
+            want = np.median(values)
+            assert window_median(values) == want and type(window_median(values)) is float
+        special = rng.lognormal(0.0, 1.0, count)
+        special[0] = np.inf
+        assert window_median(special) == np.median(special)
+        special[-1] = np.nan
+        assert math.isnan(window_median(special))
+        if count % 2 == 0:  # the mean of the middle two may overflow, as np.median's does
+            big = np.full(count, 1e308)
+            with np.errstate(over="ignore"):
+                assert window_median(big) == np.median(big) == np.inf
 
     def test_orthonormalize_projects_back(self):
         rng = np.random.default_rng(13)

@@ -22,6 +22,7 @@ from ego_focus.motion import (
     FocusMap,
     _render_arrays,
 )
+from ego_focus.streams import pgm_bytes
 
 K = Intrinsics(fx=500.0, fy=500.0, cx=200.0, cy=150.0, width=400, height=300)
 
@@ -282,6 +283,8 @@ def oracle_render(us, vs, mags, width, height, sigma, cfg):
         median = float(np.median(mags))
         scales = np.clip(mags / max(median, 1e-12), *DEFAULT_S_CLAMP)
         for u, v, s in zip(us, vs, scales):
+            if not (math.isfinite(u) and math.isfinite(v)):
+                continue  # an infinite or NaN centre reaches no pixel
             sd = sigma * s
             half = DEFAULT_TRUNCATION_RADIUS * sd
             x0 = max(0, math.ceil(u - half))
@@ -368,6 +371,103 @@ class TestRenderAgainstOracle:
 
     def test_no_points(self):
         assert self.check([], [], [], 80, 60, 3.2, FocusConfig()) == 0
+
+    def test_partly_off_image(self):
+        # one kernel over each edge and corner, one inside
+        us = [-4.0, 83.0, 40.0, 40.0, -3.0, 82.5, 40.0]
+        vs = [30.0, 30.0, -4.0, 62.0, -2.5, 63.0, 30.0]
+        for normalize in ("peak", "sum"):
+            assert self.check(us, vs, [1.0, 2.0, 0.5, 1.0, 3.0, 1.0, 1.5], 80, 60, 3.2,
+                              FocusConfig(normalize=normalize)) == 7
+
+    def test_infinite_and_nan_centres(self):
+        inf, nan = math.inf, math.nan
+        us = [inf, -inf, nan, 40.0, 40.0, 40.0, 20.5]
+        vs = [30.0, 30.0, 30.0, inf, -inf, nan, 10.25]
+        assert self.check(us, vs, [1.0] * 7, 80, 60, 3.2, FocusConfig()) == 1
+        assert self.check(us[:6], vs[:6], [1.0] * 6, 80, 60, 3.2, FocusConfig()) == 0
+
+    @staticmethod
+    def expected_pgm(values):
+        height, width = values.shape
+        return (b"P5\n%d %d\n255\n" % (width, height)
+                + np.rint(255.0 * values).astype(np.uint8).tobytes())
+
+    @staticmethod
+    def footprint_windows(rng, width, height):
+        """Windows of kernels with large, small and empty footprints, in turn."""
+        while True:
+            count = int(rng.integers(8, 16))
+            yield (rng.uniform(0, width, count), rng.uniform(0, height, count),
+                   rng.lognormal(0.0, 1.0, count))
+            u, v = rng.uniform(0, width), rng.uniform(0, height)
+            yield [u, u + 1.5], [v, v - 0.5], [0.05, 0.06]
+            yield [-50.0 * width], [v], [1.0]
+
+    @pytest.mark.parametrize("normalize", ["peak", "sum"])
+    @pytest.mark.parametrize("size", [(80, 60), (1000, 600), (1, 1)])
+    def test_map_sequence_through_reused_buffers(self, normalize, size):
+        """Each render clears only the previous map's footprint, as _FrameWriter
+        passes it; every map, and its footprint PGM, equals the oracle's."""
+        width, height = size
+        cfg, sigma = FocusConfig(normalize=normalize), max(0.04 * width, 0.5)
+        rng = np.random.default_rng(width)
+        out, scratch = np.full((height, width), 7.0), np.full((height, width), -3.0)
+        stale, kinds = None, set()
+        windows = self.footprint_windows(rng, width, height)
+        for _ in range(6 if width == 1000 else 12):
+            us, vs, mags = (np.asarray(a, dtype=np.float64) for a in next(windows))
+            want, n = oracle_render(us, vs, mags, width, height, sigma, cfg)
+            fmap = _render_arrays(us, vs, mags, width, height, sigma, cfg,
+                                  out=out, scratch=scratch, stale=stale)
+            stale = fmap.footprint
+            assert fmap.contributing_points == n
+            np.testing.assert_array_equal(fmap.values, want)
+            assert pgm_bytes(fmap.values, scratch, fmap.footprint) == self.expected_pgm(want)
+            share = fmap.values[fmap.footprint].size / (width * height)
+            kinds.add("empty" if share == 0 else "small" if share < 0.1 else
+                      "large" if share > 0.25 else "middle")
+        assert kinds >= ({"empty", "large"} if width == 1 else {"empty", "small", "large"})
+
+    def test_render_that_raises_leaves_the_buffer_cleared_whole_next(self, monkeypatch):
+        width, height, cfg = 80, 60, FocusConfig()
+        rng = np.random.default_rng(3)
+        # a small footprint top left, one over the whole map, one bottom right
+        windows = [(np.array([u]), np.array([v]), np.ones(1))
+                   for u, v in ((8.0, 6.0), (72.0, 54.0))]
+        windows.insert(1, (rng.uniform(0, width, 12), rng.uniform(0, height, 12),
+                           rng.lognormal(0.0, 1.0, 12)))
+        out, scratch = np.empty((height, width)), np.empty((height, width))
+        first = _render_arrays(*windows[0], width, height, 3.2, cfg, out=out, scratch=scratch)
+        real_add, calls = np.add, []
+
+        def failing_add(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 5:
+                raise MemoryError
+            return real_add(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "add", failing_add)
+            with pytest.raises(MemoryError):
+                _render_arrays(*windows[1], width, height, 3.2, cfg, out=out, scratch=scratch,
+                               stale=first.footprint)
+        # the failed render's additions reach past the first footprint; a
+        # render told nothing (stale=None) clears the whole buffer
+        want, n = oracle_render(*windows[2], width, height, 3.2, cfg)
+        fmap = _render_arrays(*windows[2], width, height, 3.2, cfg, out=out, scratch=scratch)
+        assert fmap.contributing_points == n
+        np.testing.assert_array_equal(fmap.values, want)
+
+    def test_footprint_holds_every_nonzero_value(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            us, vs = rng.uniform(-40, 120, 6), rng.uniform(-30, 90, 6)
+            fmap = _render_arrays(us, vs, rng.lognormal(0.0, 1.0, 6), 80, 60, 3.2, FocusConfig())
+            outside = fmap.values.copy()
+            outside[fmap.footprint] = 0.0
+            assert not outside.any()
+            assert pgm_bytes(fmap.values, None, fmap.footprint) == self.expected_pgm(fmap.values)
 
 
 class TestModulateDepth:

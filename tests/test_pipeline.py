@@ -391,6 +391,29 @@ class TestOutputWrites:
         far = np.array([1e300])
         assert writer(8, far, far, np.ones(1))[1][0] is writer.zero_pgm
 
+    def test_render_that_raises_does_not_leak_into_the_next_map(self, monkeypatch):
+        k = Intrinsics(fx=10.0, fy=10.0, cx=40.0, cy=30.0, width=80, height=60)
+        # the .mfm sidecar encodes the whole map, not only its footprint
+        writer = _FrameWriter("out", k, 3.2, FocusConfig(), True, None)
+        fresh = _FrameWriter("out", k, 3.2, FocusConfig(), True, None)
+        rng = np.random.default_rng(4)
+        spread = (rng.uniform(0, 80, 12), rng.uniform(0, 60, 12), rng.lognormal(0.0, 1.0, 12))
+        corner = (np.array([8.0]), np.array([6.0]), np.ones(1))
+        writer(2, *corner)
+        real_add, calls = np.add, []
+
+        def failing_add(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 5:
+                raise MemoryError
+            return real_add(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "add", failing_add)
+            with pytest.raises(MemoryError):
+                writer(3, *spread)
+        assert writer(4, *corner) == fresh(4, *corner)
+
     def test_wrong_size_depth_map_names_file_and_shapes(self, tmp_path):
         depth_dir = tmp_path / "depth"
         depth_dir.mkdir()
@@ -506,6 +529,26 @@ class TestZeroMapLinks:
         nlinks = [os.stat(out / n).st_nlink for n in os.listdir(out)]
         assert max(nlinks) == (4 if failure == errno.EMLINK else 1)
 
+    def test_rerun_links_onto_existing_names(self, monkeypatch, tmp_path):
+        """A link onto a name left by an earlier run replaces it by a link; it is
+        not refused and written instead."""
+        cfg = RunConfig(map_scale=4, window_size=20, overlap=5)
+        out, real_write, written = tmp_path / "o", streams.atomic_write_bytes, []
+
+        def write(path, data):
+            written.append(os.path.basename(path))
+            real_write(path, data)
+
+        monkeypatch.setattr(streams, "atomic_write_bytes", write)
+        runs = []
+        for _ in range(2):
+            run_stream(iter(climb_poses()), WIDE, cfg, str(out))
+            inodes = {n: os.stat(out / n).st_ino for n in os.listdir(out)}
+            runs.append((list(written), contents(out), len(set(inodes.values()))))
+            written.clear()
+        assert runs[1] == runs[0] and runs[0][2] < len(runs[0][1]) - 1
+        assert not [n for n in os.listdir(out) if n.startswith(".tmp-")]
+
     def test_run_failing_mid_stream_leaves_a_prefix(self, tmp_path):
         # depth maps run out at frame 40
         depth_dir = tmp_path / "depth"
@@ -522,16 +565,15 @@ class TestZeroMapLinks:
         assert len({os.stat(out / f"focus_{f:06d}.pgm").st_ino for f in range(2, 40)}) < 38
 
     def test_run_interrupted_in_a_link_leaves_no_temp_file(self, monkeypatch, tmp_path):
-        real_replace, links = os.replace, []
+        real_link, links = os.link, []
 
         def interrupted(source, target):
-            if os.stat(source).st_nlink > 1:  # the rename of a link
-                links.append(target)
-                if len(links) == 5:
-                    raise KeyboardInterrupt
-            real_replace(source, target)
+            links.append(target)
+            if len(links) == 5:
+                raise KeyboardInterrupt
+            real_link(source, target)
 
-        monkeypatch.setattr(os, "replace", interrupted)
+        monkeypatch.setattr(os, "link", interrupted)
         out = tmp_path / "o"
         cfg = RunConfig(map_scale=4, window_size=20, overlap=5)
         with pytest.raises(KeyboardInterrupt):

@@ -1,6 +1,8 @@
+import errno
 import io
 import json
 import os
+import random
 
 import numpy as np
 import pytest
@@ -40,6 +42,7 @@ from ego_focus.streams import (
     depth_input_name,
     depth_output_name,
     focus_map_name,
+    link_replacing,
     pgm_bytes,
     records_from_poses,
     write_bench_csv,
@@ -526,6 +529,109 @@ class TestAtomicWrite:
         atomic_write_bytes(path, b"two")
         assert path.read_bytes() == b"two"
         assert os.listdir(tmp_path) == ["a.bin"]
+
+
+class TestWriteSystemCalls:
+    """atomic_write_bytes writes the raw descriptor; link_replacing links
+    straight onto an absent name."""
+
+    def test_link_onto_an_absent_name_makes_no_temp_name(self, tmp_path, monkeypatch):
+        source = tmp_path / "a.pgm"
+        source.write_bytes(b"map")
+        real_link, targets = os.link, []
+
+        def link(src, dst):
+            targets.append(os.path.basename(dst))
+            real_link(src, dst)
+
+        monkeypatch.setattr(os, "link", link)
+        link_replacing(source, tmp_path / "b.pgm")
+        assert targets == ["b.pgm"]
+        assert os.stat(tmp_path / "b.pgm").st_ino == os.stat(source).st_ino
+        assert sorted(os.listdir(tmp_path)) == ["a.pgm", "b.pgm"]
+
+    def test_link_onto_an_existing_file_replaces_it(self, tmp_path, monkeypatch):
+        source, path = tmp_path / "a.pgm", tmp_path / "b.pgm"
+        source.write_bytes(b"map")
+        path.write_bytes(b"old")
+        real_replace, renamed = os.replace, []
+
+        def replace(src, dst):
+            renamed.append(os.path.basename(src))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        link_replacing(source, path)
+        assert path.read_bytes() == b"map" and os.stat(source).st_nlink == 2
+        assert len(renamed) == 1 and renamed[0].startswith(".tmp-")
+        assert sorted(os.listdir(tmp_path)) == ["a.pgm", "b.pgm"]
+
+    def test_link_replacing_interrupted_leaves_the_old_file(self, tmp_path, monkeypatch):
+        source, path = tmp_path / "a.pgm", tmp_path / "b.pgm"
+        source.write_bytes(b"map")
+        path.write_bytes(b"old")
+
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            link_replacing(source, path)
+        assert path.read_bytes() == b"old" and os.stat(source).st_nlink == 1
+        assert sorted(os.listdir(tmp_path)) == ["a.pgm", "b.pgm"]
+
+    @pytest.mark.parametrize("failure", [errno.EMLINK, errno.EPERM, errno.ENOTSUP])
+    def test_direct_link_errors_reach_the_caller(self, tmp_path, monkeypatch, failure):
+        source = tmp_path / "a.pgm"
+        source.write_bytes(b"map")
+
+        def refused(src, dst):
+            raise OSError(failure, os.strerror(failure), src, dst)
+
+        monkeypatch.setattr(os, "link", refused)
+        with pytest.raises(OSError) as err:
+            link_replacing(source, tmp_path / "b.pgm")
+        assert err.value.errno == failure
+        assert os.listdir(tmp_path) == ["a.pgm"]
+
+    def test_short_writes_are_completed(self, tmp_path, monkeypatch):
+        real_write, sizes = os.write, []
+
+        def short_write(fd, data):
+            sizes.append(real_write(fd, bytes(data[:3])))
+            return sizes[-1]
+
+        monkeypatch.setattr(os, "write", short_write)
+        atomic_write_bytes(tmp_path / "a.bin", b"0123456789")
+        assert (tmp_path / "a.bin").read_bytes() == b"0123456789"
+        assert sizes == [3, 3, 3, 1]
+        assert os.listdir(tmp_path) == ["a.bin"]
+
+    @pytest.mark.parametrize("old", [None, b"old"])
+    def test_failed_write_removes_its_temp_file(self, tmp_path, monkeypatch, old):
+        path = tmp_path / "a.bin"
+        if old is not None:
+            path.write_bytes(old)
+        real_write = os.write
+
+        def full_disk(fd, data):
+            real_write(fd, bytes(data[:2]))
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "write", full_disk)
+        with pytest.raises(OSError, match="No space"):
+            atomic_write_bytes(path, b"payload")
+        assert os.listdir(tmp_path) == ([] if old is None else ["a.bin"])
+        if old is not None:
+            assert path.read_bytes() == old
+
+    def test_files_are_created_without_the_global_random_sequence(self, tmp_path):
+        state = random.getstate()
+        for i in range(5):
+            atomic_write_bytes(tmp_path / f"{i}.bin", b"x")
+            link_replacing(tmp_path / f"{i}.bin", tmp_path / "linked.bin")
+        write_intrinsics(Intrinsics(500.0, 510.0, 320.0, 250.0, 640, 480), tmp_path / "k.json")
+        assert random.getstate() == state
 
 
 class TestAtomicTextFiles:
