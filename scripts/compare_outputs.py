@@ -1,13 +1,15 @@
 """Compare what two source trees write for the same inputs.
 
-Usage: python3 scripts/compare_outputs.py [--emit-float-maps] TREE_A TREE_B [SEED ...] (default 0 5)
+Usage: python3 scripts/compare_outputs.py [--emit-float-maps] [--depth] TREE_A TREE_B [SEED ...]
+                                          (default seeds 0 5)
        python3 scripts/compare_outputs.py --dirs A B
 Runs each seed's long_stream and batched_stitch inputs (perfbench/workloads.py) through both trees'
-src/, with .mfm sidecars on request (or takes two output trees) and prints if the summary counters
-match, each tree's count of map files, of distinct inodes among them (links share one) and of
-files with the previous frame's bytes (same kind) that are not a link to its file, the maps, CSV
-rows and other files that differ, and the largest differences, maps against golden's
-max(8, 0.1%)."""
+src/ (or takes two output trees) and prints if the summary counters match, each tree's count of
+map files, of distinct inodes among them (links share one) and of files with the previous frame's
+bytes (same kind) that are not a link to its file, the maps, CSV rows and other files that
+differ, and the largest differences, maps against golden's max(8, 0.1%). --emit-float-maps adds
+the .mfm sidecars; --depth writes one deterministic depth_NNNNNN.mfd per frame at map size and
+passes their directory, so every frame renders and also writes a depth output. Flags lead."""
 import json, os, re, subprocess, sys, tempfile  # noqa: E401
 import numpy as np
 
@@ -17,7 +19,7 @@ job, out = json.loads(sys.argv[1]), sys.argv[2]
 run, poses = ((p.run_stream_batches, pickle.load(open(job["poses_path"], "rb"))) if job["batched"]
               else (p.run_stream, s.load_pose_batches(job["poses_path"])))
 k, cfg = s.load_intrinsics(job["intrinsics_path"]), p.RunConfig(**job["run_config"])
-print(run(poses, k, cfg, out, out + "/residuals.csv").lines()[:9])  # counters only"""
+print(run(poses, k, cfg, out, out + "/residuals.csv", job.get("depth_dir")).lines()[:9])  # counters"""
 
 
 def _rows(data):  # CSV values after the header; "np.float64(x)" reads as x
@@ -56,19 +58,29 @@ def compare(dir_a, dir_b):
 
 
 if __name__ == "__main__":
-    argv = sys.argv[1:]
-    floats = argv[0] == "--emit-float-maps"
-    argv = argv[floats:]
+    argv, flags = sys.argv[1:], set()
+    while argv[0] in ("--emit-float-maps", "--depth"):
+        flags.add(argv.pop(0))
     if argv[0] == "--dirs":
         sys.exit(compare(*argv[1:3]))
     sys.dont_write_bytecode = True  # leave perfbench/ as it is
     sys.path[:0] = [f"{argv[0]}/src", os.path.join(os.path.dirname(__file__), "../perfbench")]
     import workloads
+    from ego_focus import streams
     for name, seed in [(w, s) for w in ("long_stream", "batched_stitch") for s in argv[2:] or "05"]:
         with tempfile.TemporaryDirectory() as tmp:
             job = workloads.generate(name, int(seed), tmp)
-            if floats:
+            if "--emit-float-maps" in flags:
                 job["run_config"]["emit_float_maps"] = True
+            if "--depth" in flags:
+                job["depth_dir"] = f"{tmp}/depth"
+                os.mkdir(job["depth_dir"])
+                k = streams.load_intrinsics(job["intrinsics_path"]).scaled(
+                    job["run_config"]["map_scale"])
+                ramp = np.linspace(1.0, 2.0, k.width * k.height).reshape(k.height, k.width)
+                for frame in range(job["frames"]):
+                    streams.write_depth_map(ramp * (1 + frame % 11), os.path.join(
+                        job["depth_dir"], streams.depth_input_name(frame)))
             job = json.dumps(job)
             counters = {subprocess.run([sys.executable, "-c", RUN, job, f"{tmp}/out{i}"], text=True,
                                        check=True, capture_output=True,

@@ -164,6 +164,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (EgoFocusError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except MemoryError as err:
+        print(f"error: out of memory: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

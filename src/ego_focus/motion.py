@@ -107,8 +107,9 @@ class FocusMap:
     normalization the maximum is 1 whenever contributing_points >= 1.
     contributing_points counts projectable points whose truncated
     kernel actually intersected the image. footprint, the rows and the
-    columns of values as two slices, holds every non-zero value; by
-    default it is the whole map.
+    columns of values as two slices, holds every non-zero value, so
+    zeroing a render buffer over it clears the map; by default it is the
+    whole map.
     """
 
     values: np.ndarray
@@ -149,8 +150,7 @@ def _gaussians(grid: np.ndarray, centres: np.ndarray, denom: np.ndarray) -> np.n
 def _render_arrays(us: np.ndarray, vs: np.ndarray, mags: np.ndarray,
                    width: int, height: int, sigma: float, cfg: FocusConfig,
                    out: Optional[np.ndarray] = None,
-                   scratch: Optional[np.ndarray] = None,
-                   stale: Optional[Footprint] = None) -> FocusMap:
+                   scratch: Optional[np.ndarray] = None) -> FocusMap:
     """Accumulate truncated separable Gaussian kernels and normalize.
 
     Each kernel is evaluated on the axis-aligned window
@@ -161,12 +161,10 @@ def _render_arrays(us: np.ndarray, vs: np.ndarray, mags: np.ndarray,
 
     ``out`` and ``scratch`` are optional writable float64 arrays of
     shape (height, width) that a caller rendering map after map reuses:
-    the map is accumulated in ``out`` and the kernel products go through
-    ``scratch``. The returned values are then a read-only view of
-    ``out``, valid until it is used again. ``stale`` is the part of
-    ``out`` that may hold non-zeros, the previous map's footprint when
-    that render returned; only it is cleared. Without it ``out`` is
-    cleared whole.
+    the map is accumulated in ``out``, which must be all zero, and the
+    kernel products go through ``scratch``. The returned values are then
+    a read-only view of ``out``, valid until it is used again; zeroing
+    ``out`` over the returned footprint makes it all zero again.
     """
     kernels = []
     footprint = _EMPTY
@@ -198,19 +196,13 @@ def _render_arrays(us: np.ndarray, vs: np.ndarray, mags: np.ndarray,
             cols = _gaussians(np.arange(top, bottom, dtype=np.float64), np.array(kv), denom)
             kernels = [(x0, x1, y0, y1, rows[k, x0 - left:x1 - left], cols[k, y0 - top:y1 - top])
                        for k, (x0, x1, y0, y1) in enumerate(zip(x0s, x1s, y0s, y1s))]
-    if out is None:
-        acc, stale = np.zeros((height, width)), _EMPTY
-    else:
-        acc, stale = out, (slice(0, height), slice(0, width)) if stale is None else stale
+    acc = np.zeros((height, width)) if out is None else out
     band = max(1, _BAND_BYTES // acc[0].nbytes)
     products = np.empty(min(band, height) * width) if scratch is None else scratch.reshape(-1)
     old_bufsize = None if acc.size <= _DEFAULT_UFUNC_BUFSIZE else np.setbufsize(_UFUNC_BUFSIZE)
-    stale_rows, stale_cols = stale
     try:
-        for b0 in range(min(footprint[0].start, stale_rows.start),
-                        max(footprint[0].stop, stale_rows.stop), band):
+        for b0 in range(footprint[0].start, footprint[0].stop, band):
             b1 = b0 + band
-            acc[max(b0, stale_rows.start):min(b1, stale_rows.stop), stale_cols] = 0.0
             for x0, x1, y0, y1, row, col in kernels:
                 top, bottom = max(y0, b0), min(y1, b1)
                 if top < bottom:

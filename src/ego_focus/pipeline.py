@@ -18,8 +18,9 @@ Rendering and encoding (and only those) can fan out over a small thread
 pool, sized by the EGO_FOCUS_THREADS environment variable (0 = auto, at
 most 8). Each frame's map is computed by exactly one worker with a fixed
 internal order, so results are byte-identical for any thread count.
-A worker clears its map buffer, finds the peak, divides and encodes the
-PGM only over the footprint, the union of the map's kernel windows.
+A worker keeps its map buffer all zero between maps: it adds the kernels,
+finds the peak, divides, encodes the PGM and clears again only over the
+footprint, the union of the map's kernel windows.
 Workers hand back encoded bytes; the calling thread creates or links
 every file, in frame order, so an interrupted run leaves a contiguous
 prefix of frames and no directory has two threads creating files in it.
@@ -104,6 +105,10 @@ class RunConfig:
     threads: Optional[int] = None
 
     def __post_init__(self):
+        for key in ("window_size", "overlap", "focus_n", "map_scale", "threads"):
+            value = getattr(self, key)
+            if not (isinstance(value, (int, np.integer)) or key == "threads" and value is None):
+                raise ConfigError(key, f"must be an integer, got {value!r}")
         if self.map_scale < 1:
             raise ConfigError("map_scale", f"must be >= 1, got {self.map_scale}")
         if self.anchor_mode not in ("first", "last"):
@@ -204,11 +209,6 @@ class _FrameWriter:
         self.emit_float = emit_float
         self.depth_dir = depth_dir
         self._buffers = threading.local()
-        # Every map of a run has one size, so every map without a
-        # contributing kernel has these bytes (the run's zero payloads).
-        zero = np.zeros((map_k.height, map_k.width))
-        self.zero_pgm = streams.pgm_bytes(zero)
-        self.zero_mfm = streams.raw_map_bytes(zero, streams.FOCUS_MAP_MAGIC) if emit_float else None
 
     def paths(self, frame: int) -> list[str]:
         """The frame's output files: the PGM, then the .mfm, then the depth .mfd."""
@@ -222,24 +222,16 @@ class _FrameWriter:
     def __call__(self, frame: int, us: np.ndarray, vs: np.ndarray,
                  mags: np.ndarray) -> tuple[int, list[bytes]]:
         # Each thread renders and encodes in its own two map-sized arrays,
-        # reused frame after frame instead of allocated afresh per map, and
-        # keeps the footprint of the map left in the first (None: unknown,
-        # as after a render that raised).
-        buffers = getattr(self._buffers, "maps", None)
-        if buffers is None:
-            shape = (self.map_k.height, self.map_k.width)
-            buffers = self._buffers.maps = [np.empty(shape), np.empty(shape), None]
-        acc, scratch, stale = buffers
-        buffers[2] = None
+        # reused frame after frame instead of allocated afresh per map; the
+        # first is all zero between calls. A call that raises drops them.
+        shape = (self.map_k.height, self.map_k.width)
+        acc, scratch = getattr(self._buffers, "maps", None) or (np.zeros(shape), np.empty(shape))
+        self._buffers.maps = None
         fmap = _render_arrays(us, vs, mags, self.map_k.width, self.map_k.height,
-                              self.sigma, self.cfg, out=acc, scratch=scratch, stale=stale)
-        buffers[2] = fmap.footprint
-        zero = fmap.contributing_points == 0
-        payloads = [self.zero_pgm if zero
-                    else streams.pgm_bytes(fmap.values, scratch, fmap.footprint)]
+                              self.sigma, self.cfg, out=acc, scratch=scratch)
+        payloads = [streams.pgm_bytes(fmap.values, scratch, fmap.footprint)]
         if self.emit_float:
-            payloads.append(self.zero_mfm if zero
-                            else streams.raw_map_bytes(fmap.values, streams.FOCUS_MAP_MAGIC))
+            payloads.append(streams.raw_map_bytes(fmap.values, streams.FOCUS_MAP_MAGIC))
         if self.depth_dir is not None:
             depth_path = os.path.join(self.depth_dir, streams.depth_input_name(frame))
             depth = streams.read_depth_map(depth_path)
@@ -251,6 +243,8 @@ class _FrameWriter:
             out = modulate_depth(depth.astype(np.float64), fmap)
             payloads.append(streams.raw_map_bytes(out.astype(np.float32),
                                                   streams.DEPTH_MAP_MAGIC))
+        acc[fmap.footprint] = 0.0
+        self._buffers.maps = acc, scratch
         return fmap.contributing_points, payloads
 
 
@@ -277,16 +271,21 @@ def run_stream_batches(batches: Iterable[PoseBatch], intrinsics: Intrinsics,
     """
     t_start = time.perf_counter()
     n_threads = resolve_threads(cfg.threads)
+    map_k = intrinsics.scaled(cfg.map_scale)
+    if map_k.width * map_k.height * 8 >= 2**63:  # numpy's limit on an array's bytes
+        raise ConfigError("map_scale", f"{map_k.width}x{map_k.height} float64 maps are too big "
+                                       "for an array; use a larger value")
     os.makedirs(out_dir, exist_ok=True)
     fcfg = cfg.focus_config()
     plan = cfg.plan()
-    map_k = intrinsics.scaled(cfg.map_scale)
     sigma = fcfg.resolved_sigma(intrinsics.width) / cfg.map_scale
     writer = _FrameWriter(out_dir, map_k, sigma, fcfg, cfg.emit_float_maps, depth_dir)
 
     state = StitchState()
     motion = MotionStream(intrinsics, fcfg)
-    window: deque[tuple[float, float, float, bool]] = deque(maxlen=cfg.focus_n)
+    # The last focus_n samples, carried as MotionStream carries its rows:
+    # u and v at map scale and magnitude, and whether each is projectable.
+    tail_pts, tail_ok = np.empty((0, 3)), np.empty(0, dtype=bool)
     summary = RunSummary()
     # Each frame, in frame order: its frame number and its writer result or
     # the pool's Future for one (a repeat frame's is the previous frame's).
@@ -347,26 +346,24 @@ def run_stream_batches(batches: Iterable[PoseBatch], intrinsics: Intrinsics,
             summary.points_skipped += len(block) - n_ok
             points_writer.write_block(block)
 
-            scale = float(cfg.map_scale)
-            for i in range(len(block)):
-                ok = bool(block.projectable[i])
+            rows = np.column_stack([block.uv / cfg.map_scale, block.magnitude])
+            pts, ok = np.concatenate([tail_pts, rows]), np.concatenate([tail_ok, block.projectable])
+            for e, frame in enumerate(block.frames.tolist(), len(tail_ok)):
+                lo = max(0, e + 1 - cfg.focus_n)  # the frame's window is rows lo to e
                 # A repeat frame: its sample is not projectable, and neither is
-                # the one it evicts, if any, so its map has the previous
-                # frame's projectable points and bytes. A depth output reads
-                # the frame's own depth map, so with one every frame renders.
-                repeat = (not ok and depth_dir is None and bool(window)
-                          and (len(window) < cfg.focus_n or not window[0][3]))
-                window.append((block.uv[i, 0] / scale, block.uv[i, 1] / scale,
-                               float(block.magnitude[i]), ok))
-                frame = int(block.frames[i])
+                # the one it evicts (row lo - 1), if any, so its map has the
+                # previous frame's projectable points and bytes. A depth output
+                # reads the frame's own depth map, so with one every frame renders.
+                repeat = depth_dir is None and e > 0 and not (ok[e] or lo and ok[lo - 1])
                 if not repeat:
-                    snap = [w for w in window if w[3]]
-                    args = (frame, np.array([w[0] for w in snap]),
-                            np.array([w[1] for w in snap]), np.array([w[2] for w in snap]))
+                    snap = pts[lo:e + 1][ok[lo:e + 1]]
+                    args = (frame, snap[:, 0], snap[:, 1], snap[:, 2])
                     job = writer(*args) if executor is None else executor.submit(writer, *args)
                 pending.append((frame, job))
                 while len(pending) >= max_inflight:
                     _finish(*pending.popleft())
+            # The next frame evicts the first of these rows.
+            tail_pts, tail_ok = pts[-cfg.focus_n:].copy(), ok[-cfg.focus_n:].copy()
         while pending:
             _finish(*pending.popleft())
 

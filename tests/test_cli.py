@@ -7,7 +7,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from ego_focus import cli
+from ego_focus import cli, pipeline
 from ego_focus.cli import build_parser, main
 from ego_focus.pipeline import RunSummary
 from ego_focus.streams import (
@@ -426,6 +426,40 @@ class TestRun:
         ])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: width: must be >= 1 and < 2**32")
+
+    def test_map_too_big_for_an_array_fails_before_the_output_directory(self, tmp_path, capsys):
+        # 2**31 x 2**31 float64 pixels are 2**65 bytes, more than numpy can size
+        poses = sim(tmp_path)
+        k_path = tmp_path / "k.json"
+        write_intrinsics(Intrinsics(fx=10.0, fy=10.0, cx=0.0, cy=0.0,
+                                    width=2 ** 31, height=2 ** 31), k_path)
+        rc = main([
+            "run", "--poses", str(poses), "--intrinsics", str(k_path),
+            "--out-dir", str(tmp_path / "o"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: map_scale: 2147483648x2147483648 float64 maps are too big for an array; "
+            "use a larger value\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failed_map_allocation_fails_cleanly(self, tmp_path, capsys, monkeypatch, threads):
+        def allocation_fails(writer, frame, *arrays):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(pipeline._FrameWriter, "__call__", allocation_fails)
+        poses = sim(tmp_path)
+        k_path = tmp_path / "k.json"
+        write_intrinsics(WIDE, k_path)
+        rc = main([
+            "run", "--poses", str(poses), "--intrinsics", str(k_path),
+            "--out-dir", str(tmp_path / "o"), "--threads", threads,
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: out of memory: Unable to allocate 7.28 TiB for an array\n")
+        assert os.listdir(tmp_path / "o") == []
 
     def test_omitted_flags_take_the_run_config_defaults(self, tmp_path, monkeypatch):
         seen = []

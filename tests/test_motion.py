@@ -22,7 +22,8 @@ from ego_focus.motion import (
     FocusMap,
     _render_arrays,
 )
-from ego_focus.streams import pgm_bytes
+from ego_focus.pipeline import _FrameWriter
+from ego_focus.streams import FOCUS_MAP_MAGIC, pgm_bytes, raw_map_bytes
 
 K = Intrinsics(fx=500.0, fy=500.0, cx=200.0, cy=150.0, width=400, height=300)
 
@@ -318,13 +319,16 @@ class TestRenderAgainstOracle:
         fmap = _render_arrays(us, vs, mags, width, height, sigma, cfg)
         assert fmap.contributing_points == n
         np.testing.assert_array_equal(fmap.values, want)
-        # again through reused buffers holding stale values
-        out = np.full((height, width), 7.0)
+        # again through a caller's all-zero buffer and a scratch holding
+        # stale values; zeroing the footprint makes the buffer all zero again
+        out = np.zeros((height, width))
         scratch = np.full((height, width), -3.0)
         reused = _render_arrays(us, vs, mags, width, height, sigma, cfg,
                                 out=out, scratch=scratch)
         assert reused.contributing_points == n
         np.testing.assert_array_equal(reused.values, want)
+        out[reused.footprint] = 0.0
+        assert not out.any()
         return n
 
     @pytest.mark.parametrize("count", [1, 2, 3, 8, 15])
@@ -407,23 +411,23 @@ class TestRenderAgainstOracle:
     @pytest.mark.parametrize("normalize", ["peak", "sum"])
     @pytest.mark.parametrize("size", [(80, 60), (1000, 600), (1, 1)])
     def test_map_sequence_through_reused_buffers(self, normalize, size):
-        """Each render clears only the previous map's footprint, as _FrameWriter
-        passes it; every map, and its footprint PGM, equals the oracle's."""
+        """After each map only its footprint is zeroed, as _FrameWriter does;
+        every map, and its footprint PGM, equals the oracle's."""
         width, height = size
         cfg, sigma = FocusConfig(normalize=normalize), max(0.04 * width, 0.5)
         rng = np.random.default_rng(width)
-        out, scratch = np.full((height, width), 7.0), np.full((height, width), -3.0)
-        stale, kinds = None, set()
+        out, scratch = np.zeros((height, width)), np.full((height, width), -3.0)
+        kinds = set()
         windows = self.footprint_windows(rng, width, height)
         for _ in range(6 if width == 1000 else 12):
             us, vs, mags = (np.asarray(a, dtype=np.float64) for a in next(windows))
             want, n = oracle_render(us, vs, mags, width, height, sigma, cfg)
             fmap = _render_arrays(us, vs, mags, width, height, sigma, cfg,
-                                  out=out, scratch=scratch, stale=stale)
-            stale = fmap.footprint
+                                  out=out, scratch=scratch)
             assert fmap.contributing_points == n
             np.testing.assert_array_equal(fmap.values, want)
             assert pgm_bytes(fmap.values, scratch, fmap.footprint) == self.expected_pgm(want)
+            out[fmap.footprint] = 0.0
             share = fmap.values[fmap.footprint].size / (width * height)
             kinds.add("empty" if share == 0 else "small" if share < 0.1 else
                       "large" if share > 0.25 else "middle")
@@ -437,8 +441,10 @@ class TestRenderAgainstOracle:
                    for u, v in ((8.0, 6.0), (72.0, 54.0))]
         windows.insert(1, (rng.uniform(0, width, 12), rng.uniform(0, height, 12),
                            rng.lognormal(0.0, 1.0, 12)))
-        out, scratch = np.empty((height, width)), np.empty((height, width))
-        first = _render_arrays(*windows[0], width, height, 3.2, cfg, out=out, scratch=scratch)
+        k = Intrinsics(fx=10.0, fy=10.0, cx=40.0, cy=30.0, width=width, height=height)
+        # the .mfm sidecar encodes the whole map, not only its footprint
+        writer = _FrameWriter("out", k, 3.2, cfg, True, None)
+        writer(2, *windows[0])
         real_add, calls = np.add, []
 
         def failing_add(*args, **kwargs):
@@ -450,14 +456,14 @@ class TestRenderAgainstOracle:
         with monkeypatch.context() as m:
             m.setattr(np, "add", failing_add)
             with pytest.raises(MemoryError):
-                _render_arrays(*windows[1], width, height, 3.2, cfg, out=out, scratch=scratch,
-                               stale=first.footprint)
-        # the failed render's additions reach past the first footprint; a
-        # render told nothing (stale=None) clears the whole buffer
+                writer(3, *windows[1])
+        # the failed render's additions reach past the first footprint; the
+        # writer drops the buffer they are in, and the next call on this
+        # thread renders into a fresh all-zero one
         want, n = oracle_render(*windows[2], width, height, 3.2, cfg)
-        fmap = _render_arrays(*windows[2], width, height, 3.2, cfg, out=out, scratch=scratch)
-        assert fmap.contributing_points == n
-        np.testing.assert_array_equal(fmap.values, want)
+        contributing, payloads = writer(4, *windows[2])
+        assert contributing == n
+        assert payloads == [self.expected_pgm(want), raw_map_bytes(want, FOCUS_MAP_MAGIC)]
 
     def test_footprint_holds_every_nonzero_value(self):
         rng = np.random.default_rng(11)

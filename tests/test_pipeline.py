@@ -159,6 +159,12 @@ class TestRunConfig:
             RunConfig(normalize="max")
         with pytest.raises(Exception):
             RunConfig(window_size=10, overlap=10)
+        # counts and sizes are integers, 2.0 included
+        for key, value in (("map_scale", 2.0), ("focus_n", 2.5), ("window_size", 60.0),
+                           ("overlap", 5.0), ("threads", 2.5), ("threads", "2")):
+            with pytest.raises(ConfigError, match=f"^{key}: must be an integer, got {value!r}$"):
+                RunConfig(**{key: value})
+        assert RunConfig(map_scale=np.int64(2), focus_n=np.int32(3), threads=np.uint8(2))
 
 
 class TestResolveThreads:
@@ -378,18 +384,20 @@ class TestOutputWrites:
         assert runs[2] == runs[1]
         assert runs[4] == runs[1]
 
-    def test_zero_maps_reuse_one_encoding(self):
+    def test_zero_maps_encode_to_zero_bytes(self):
         k = Intrinsics(fx=10.0, fy=10.0, cx=40.0, cy=30.0, width=80, height=60)
         writer = _FrameWriter("out", k, 3.2, FocusConfig(), False, None)
-        assert writer.zero_pgm == streams.pgm_bytes(np.zeros((60, 80)))
+        zero_pgm = streams.pgm_bytes(np.zeros((60, 80)))
         empty = np.empty(0)
         contributing, payloads = writer(7, empty, empty, empty)
         assert contributing == 0
         assert writer.paths(7) == [os.path.join("out", "focus_000007.pgm")]
-        assert len(payloads) == 1 and payloads[0] is writer.zero_pgm
-        # a kernel wholly off the image is also a zero map
+        assert payloads == [zero_pgm]
+        # a kernel wholly off the image is also a zero map, after a map
+        # whose footprint the writer zeroed
+        assert writer(8, np.array([40.0]), np.array([30.0]), np.ones(1))[1] != [zero_pgm]
         far = np.array([1e300])
-        assert writer(8, far, far, np.ones(1))[1][0] is writer.zero_pgm
+        assert writer(9, far, far, np.ones(1)) == (0, [zero_pgm])
 
     def test_render_that_raises_does_not_leak_into_the_next_map(self, monkeypatch):
         k = Intrinsics(fx=10.0, fy=10.0, cx=40.0, cy=30.0, width=80, height=60)
@@ -632,20 +640,19 @@ class TestRepeatFrames:
         with monkeypatch.context() as m:
             m.setattr(MotionStream, "push", push)
             m.setattr(_FrameWriter, "__call__", call)
-            cfg = RunConfig(map_scale=8, window_size=60, overlap=5, **cfg)
+            cfg = RunConfig(**{"map_scale": 8, "window_size": 60, "overlap": 5, **cfg})
             summary = run_stream(iter(long_arc_poses()), LONG, cfg, str(out), depth_dir=depth_dir)
         return summary, [p for block in blocks for p in block.focus_points()], sorted(rendered)
 
     @staticmethod
-    def repeats(points):
-        n = DEFAULT_FOCUS_N
+    def repeats(points, n=DEFAULT_FOCUS_N):
         return [j for j in range(1, len(points)) if not points[j].projectable
                 and (j < n or not points[j - n].projectable)]
 
     @staticmethod
-    def fresh_maps(points):
+    def fresh_maps(points, n=DEFAULT_FOCUS_N):
         """Each frame's map, rendered anew from its trailing focus window."""
-        n, k = DEFAULT_FOCUS_N, LONG.scaled(8)
+        k = LONG.scaled(8)
         scaled = [dataclasses.replace(p, u=p.u / 8, v=p.v / 8) if p.projectable else p
                   for p in points]
         return [render_focus_map(scaled[max(0, j - n + 1):j + 1], k, FocusConfig())
@@ -657,10 +664,29 @@ class TestRepeatFrames:
         out = tmp_path / "o"
         summary, points, rendered = self.run(monkeypatch, out, threads=threads,
                                              emit_float_maps=emit_float)
-        repeats, fmaps = self.repeats(points), self.fresh_maps(points)
+        repeats = self.repeats(points)
         assert len(points) == summary.maps_written == 148 and len(repeats) == 39
-        assert summary.zero_maps == sum(f.contributing_points == 0 for f in fmaps)
+        fmaps = self.check_outputs(out, summary, points, rendered, emit_float)
         assert sum(fmaps[j].contributing_points > 0 for j in repeats) == 39
+
+    @pytest.mark.parametrize("focus_n", [1, 15, 40])
+    def test_windows_across_two_sample_blocks(self, monkeypatch, tmp_path, focus_n):
+        """batched_stitch's 8/6 plan: the stitcher hands over 2-sample blocks,
+        so a window spans up to 20 of them and the sample a block's first
+        frame evicts came in an earlier block."""
+        out = tmp_path / "o"
+        summary, points, rendered = self.run(monkeypatch, out, window_size=8, overlap=6,
+                                             focus_n=focus_n, threads=2, emit_float_maps=True)
+        assert summary.windows == 72 and len(points) == summary.maps_written == 148
+        assert sum(not p.projectable for p in points) > 60
+        assert len(self.repeats(points, focus_n)) > 10
+        self.check_outputs(out, summary, points, rendered, True, focus_n)
+
+    def check_outputs(self, out, summary, points, rendered, emit_float, n=DEFAULT_FOCUS_N):
+        """Every map equals a fresh render; repeats link the previous frame's
+        files and are not rendered. Returns the fresh renders."""
+        repeats, fmaps = self.repeats(points, n), self.fresh_maps(points, n)
+        assert summary.zero_maps == sum(f.contributing_points == 0 for f in fmaps)
         files = contents(out)
         del files["focus_points.csv"]
         exts = ["pgm", "mfm"] if emit_float else ["pgm"]
@@ -677,6 +703,7 @@ class TestRepeatFrames:
                                   for i in (j, j - 1))
                 assert this.st_ino == previous.st_ino
         assert rendered == [p.frame_index for j, p in enumerate(points) if j not in repeats]
+        return fmaps
 
     def test_with_depth_maps_every_frame_renders(self, monkeypatch, tmp_path):
         depth_dir, out = tmp_path / "depth", tmp_path / "o"
