@@ -3,23 +3,41 @@
 Usage: python3 scripts/compare_outputs.py [--emit-float-maps] [--depth] TREE_A TREE_B [SEED ...]
                                           (default seeds 0 5)
        python3 scripts/compare_outputs.py --dirs A B
-Runs each seed's long_stream and batched_stitch inputs (perfbench/workloads.py) through both trees'
-src/ (or takes two output trees) and prints if the summary counters match, each tree's count of
-map files, of distinct inodes among them (links share one) and of files with the previous frame's
-bytes (same kind) that are not a link to its file, the maps, CSV rows and other files that
-differ, and the largest differences, maps against golden's max(8, 0.1%). --emit-float-maps adds
-the .mfm sidecars; --depth writes one deterministic depth_NNNNNN.mfd per frame at map size and
-passes their directory, so every frame renders and also writes a depth output. Flags lead."""
-import json, os, re, subprocess, sys, tempfile  # noqa: E401
+Builds each seed's long_stream and batched_stitch inputs (perfbench/workloads.py) with each tree's
+own src/ and runs them through that tree (or takes two output trees). Prints the input files that
+differ (or that all are identical), if the summary counters match, each tree's count of map files,
+of distinct inodes among them (links share one) and of files with the previous frame's bytes (same
+kind) that are not a link to its file, the maps, CSV rows and other files that differ, and the
+largest differences, maps against golden's max(8, 0.1%). --emit-float-maps adds the .mfm sidecars;
+--depth writes one deterministic depth_NNNNNN.mfd per frame at map size as an input and passes
+their directory, so every frame renders and also writes a depth output. Flags lead."""
+import os, re, subprocess, sys, tempfile  # noqa: E401
 import numpy as np
 
-RUN = """import json, pickle, sys
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
+RUN = """import os, pickle, sys
+import numpy as np, workloads
 from ego_focus import pipeline as p, streams as s
-job, out = json.loads(sys.argv[1]), sys.argv[2]
+name, seed, flags, tmp = sys.argv[1], int(sys.argv[2]), sys.argv[3:-1], sys.argv[-1]
+os.makedirs(tmp + "/in")
+job = workloads.generate(name, seed, tmp + "/in")
+cfg = p.RunConfig(**dict(job["run_config"], emit_float_maps="--emit-float-maps" in flags))
+k, depth_dir = s.load_intrinsics(job["intrinsics_path"]), None
+if "--depth" in flags:
+    depth_dir, m = tmp + "/in/depth", k.scaled(cfg.map_scale)
+    os.mkdir(depth_dir)
+    ramp = np.linspace(1.0, 2.0, m.width * m.height).reshape(m.height, m.width)
+    for frame in range(job["frames"]):
+        s.write_depth_map(ramp * (1 + frame % 11), f"{depth_dir}/{s.depth_input_name(frame)}")
 run, poses = ((p.run_stream_batches, pickle.load(open(job["poses_path"], "rb"))) if job["batched"]
               else (p.run_stream, s.load_pose_batches(job["poses_path"])))
-k, cfg = s.load_intrinsics(job["intrinsics_path"]), p.RunConfig(**job["run_config"])
-print(run(poses, k, cfg, out, out + "/residuals.csv", job.get("depth_dir")).lines()[:9])  # counters"""
+summary = run(poses, k, cfg, tmp + "/out", tmp + "/out/residuals.csv", depth_dir)
+print(summary.lines()[:9])  # counters"""
+
+
+def _files(root):  # relative name -> path of every file under root
+    return {os.path.relpath(os.path.join(d, n), root): os.path.join(d, n)
+            for d, _, names in os.walk(root) for n in names}
 
 
 def _rows(data):  # CSV values after the header; "np.float64(x)" reads as x
@@ -28,8 +46,7 @@ def _rows(data):  # CSV values after the header; "np.float64(x)" reads as x
 
 
 def compare(dir_a, dir_b):
-    a, b = ({os.path.relpath(os.path.join(d, n), root): os.path.join(d, n)
-             for d, _, names in os.walk(root) for n in names} for root in (dir_a, dir_b))
+    a, b = _files(dir_a), _files(dir_b)
     maps, other = [], sorted(set(a) ^ set(b))
     for tree, files in zip("AB", (a, b)):  # hard links share an inode
         # (kind, path) in order: each file follows the previous frame's file of its kind
@@ -63,28 +80,17 @@ if __name__ == "__main__":
         flags.add(argv.pop(0))
     if argv[0] == "--dirs":
         sys.exit(compare(*argv[1:3]))
-    sys.dont_write_bytecode = True  # leave perfbench/ as it is
-    sys.path[:0] = [f"{argv[0]}/src", os.path.join(os.path.dirname(__file__), "../perfbench")]
-    import workloads
-    from ego_focus import streams
     for name, seed in [(w, s) for w in ("long_stream", "batched_stitch") for s in argv[2:] or "05"]:
         with tempfile.TemporaryDirectory() as tmp:
-            job = workloads.generate(name, int(seed), tmp)
-            if "--emit-float-maps" in flags:
-                job["run_config"]["emit_float_maps"] = True
-            if "--depth" in flags:
-                job["depth_dir"] = f"{tmp}/depth"
-                os.mkdir(job["depth_dir"])
-                k = streams.load_intrinsics(job["intrinsics_path"]).scaled(
-                    job["run_config"]["map_scale"])
-                ramp = np.linspace(1.0, 2.0, k.width * k.height).reshape(k.height, k.width)
-                for frame in range(job["frames"]):
-                    streams.write_depth_map(ramp * (1 + frame % 11), os.path.join(
-                        job["depth_dir"], streams.depth_input_name(frame)))
-            job = json.dumps(job)
-            counters = {subprocess.run([sys.executable, "-c", RUN, job, f"{tmp}/out{i}"], text=True,
-                                       check=True, capture_output=True,
-                                       env=dict(os.environ, PYTHONPATH=f"{tree}/src")).stdout
-                        for i, tree in enumerate(argv[:2])}
-            print(f"{name} seed {seed}: counters {'equal' if len(counters) == 1 else counters}")
-            compare(f"{tmp}/out0", f"{tmp}/out1")
+            # each tree builds its own inputs; no bytecode, so perfbench/ is left as it is
+            counters = {subprocess.run([sys.executable, "-c", RUN, name, seed, *sorted(flags),
+                                        f"{tmp}/{i}"], text=True, check=True, capture_output=True,
+                                       env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                                                PYTHONPATH=f"{tree}/src{os.pathsep}{PERFBENCH}")
+                                       ).stdout for i, tree in enumerate(argv[:2])}
+            a, b = _files(f"{tmp}/0/in"), _files(f"{tmp}/1/in")
+            differ = sorted(n for n in a.keys() | b.keys() if n not in a or n not in b
+                            or open(a[n], "rb").read() != open(b[n], "rb").read())
+            print(f"{name} seed {seed}: inputs {differ or f'identical ({len(a)} files)'}, "
+                  f"counters {'equal' if len(counters) == 1 else counters}")
+            compare(f"{tmp}/0/out", f"{tmp}/1/out")

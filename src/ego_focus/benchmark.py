@@ -21,7 +21,7 @@ from __future__ import annotations
 import gc
 import time
 import tracemalloc
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -41,11 +41,6 @@ _BENCH_INTRINSICS = Intrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640
 
 def _bench_spec(frames: int) -> ScenarioSpec:
     return ScenarioSpec(kind="circular_arc", frames=frames, radius=50.0, omega=0.01, seed=3)
-
-
-def _pose_chunks(spec: ScenarioSpec, chunk_size: int) -> Iterator[PoseBatch]:
-    for poses, _ in iter_trajectory(spec, chunk_size):
-        yield poses
 
 
 def _consume_math(poses: Iterable[PoseBatch], cfg: RunConfig) -> int:
@@ -75,13 +70,13 @@ def _math_row(size: int, cfg: RunConfig) -> dict:
         del poses
     else:
         t0 = time.perf_counter()
-        frames = _consume_math(_pose_chunks(spec, chunk_size), cfg)
+        frames = _consume_math((poses for poses, _ in iter_trajectory(spec, chunk_size)), cfg)
         dt = time.perf_counter() - t0
 
     # Memory pass, generator-fed so footprint cannot scale with length.
     gc.collect()
     tracemalloc.start()
-    _consume_math(_pose_chunks(spec, chunk_size), cfg)
+    _consume_math((poses for poses, _ in iter_trajectory(spec, chunk_size)), cfg)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
 

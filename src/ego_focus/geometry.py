@@ -393,6 +393,11 @@ def rotation_angle(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     return np.arccos(np.clip(cos_theta, -1.0, 1.0))
 
 
+def require_integer(key: str, value) -> None:
+    if not isinstance(value, (int, np.integer)):
+        raise ConfigError(key, f"must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class Intrinsics:
     """Pinhole intrinsics; width/height in pixels."""
@@ -412,6 +417,7 @@ class Intrinsics:
         if self.fx <= 0 or self.fy <= 0:
             raise ConfigError("fx" if self.fx <= 0 else "fy", "focal length must be > 0")
         for key in ("width", "height"):
+            require_integer(key, getattr(self, key))
             # Map sidecar headers store both as uint32.
             if not 1 <= getattr(self, key) < 2**32:
                 raise ConfigError(key, f"must be >= 1 and < 2**32, got {getattr(self, key)}")

@@ -27,6 +27,7 @@ from .geometry import (
     Intrinsics,
     PoseBatch,
     project_pinhole_many,
+    require_integer,
     window_median,
 )
 
@@ -53,6 +54,7 @@ _EMPTY: Footprint = (slice(0, 0), slice(0, 0))
 class FocusConfig:
     """Knobs for focus-point extraction and map rendering.
 
+    n_points is a run's trailing-window length: the samples per map.
     sigma_px = None resolves to SIGMA_WIDTH_FRACTION * image width at
     render time. project_negative chooses what happens to samples whose
     camera-frame acceleration points backward: "skip" drops them,
@@ -67,6 +69,7 @@ class FocusConfig:
     smooth_positions: bool = False
 
     def __post_init__(self):
+        require_integer("n_points", self.n_points)
         if self.n_points < 1:
             raise ConfigError("n_points", f"must be >= 1, got {self.n_points}")
         if self.sigma_px is not None and not 0 < self.sigma_px < np.inf:
@@ -226,7 +229,7 @@ def _render_arrays(us: np.ndarray, vs: np.ndarray, mags: np.ndarray,
 
 
 def render_focus_map(points: Sequence[FocusPoint], k: Intrinsics, cfg: FocusConfig) -> FocusMap:
-    """Render the trailing window of focus points at the intrinsics' size.
+    """Render every point it is passed at the intrinsics' size.
 
     Non-projectable points are ignored (their magnitudes do not enter
     the median either); zero projectable points yield an all-zero map.

@@ -41,7 +41,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .errors import ConfigError, StreamFormatError
-from .geometry import DEFAULT_EPS_Z, Intrinsics, PoseBatch
+from .geometry import DEFAULT_EPS_Z, Intrinsics, PoseBatch, require_integer
 from .motion import (
     DEFAULT_FOCUS_N,
     FocusConfig,
@@ -105,10 +105,8 @@ class RunConfig:
     threads: Optional[int] = None
 
     def __post_init__(self):
-        for key in ("window_size", "overlap", "focus_n", "map_scale", "threads"):
-            value = getattr(self, key)
-            if not (isinstance(value, (int, np.integer)) or key == "threads" and value is None):
-                raise ConfigError(key, f"must be an integer, got {value!r}")
+        require_integer("focus_n", self.focus_n)
+        require_integer("map_scale", self.map_scale)
         if self.map_scale < 1:
             raise ConfigError("map_scale", f"must be >= 1, got {self.map_scale}")
         if self.anchor_mode not in ("first", "last"):
@@ -119,6 +117,7 @@ class RunConfig:
         self.plan()
         self.focus_config()
         if self.threads is not None:
+            require_integer("threads", self.threads)
             resolve_threads(self.threads)
 
     def plan(self) -> WindowPlan:
@@ -188,8 +187,7 @@ def iter_windows(poses: Iterable[PoseBatch],
             yielded = True
             start += stride
         pieces, held = [buf[start:]], held - start
-    carried = overlap if yielded else 0
-    if held > carried or (held and not yielded):
+    if held > (overlap if yielded else 0):
         yield PoseBatch.concat(pieces)
 
 
@@ -240,9 +238,8 @@ class _FrameWriter:
                     f"{depth_path}: depth map is {depth.shape[1]}x{depth.shape[0]}, "
                     f"the focus map {fmap.width}x{fmap.height}"
                 )
-            out = modulate_depth(depth.astype(np.float64), fmap)
-            payloads.append(streams.raw_map_bytes(out.astype(np.float32),
-                                                  streams.DEPTH_MAP_MAGIC))
+            out = modulate_depth(depth, fmap)
+            payloads.append(streams.raw_map_bytes(out, streams.DEPTH_MAP_MAGIC))
         acc[fmap.footprint] = 0.0
         self._buffers.maps = acc, scratch
         return fmap.contributing_points, payloads
@@ -283,7 +280,7 @@ def run_stream_batches(batches: Iterable[PoseBatch], intrinsics: Intrinsics,
 
     state = StitchState()
     motion = MotionStream(intrinsics, fcfg)
-    # The last focus_n samples, carried as MotionStream carries its rows:
+    # The last n_points samples, carried as MotionStream carries its rows:
     # u and v at map scale and magnitude, and whether each is projectable.
     tail_pts, tail_ok = np.empty((0, 3)), np.empty(0, dtype=bool)
     summary = RunSummary()
@@ -325,8 +322,6 @@ def run_stream_batches(batches: Iterable[PoseBatch], intrinsics: Intrinsics,
             state, emitted = stitch_step(state, batch, plan,
                                          anchor_mode=cfg.anchor_mode,
                                          scale_correction=cfg.scale_correction)
-            summary.windows += 1
-            summary.frames_emitted += len(emitted)
             for event in state.boundary_log:
                 summary.boundaries += 1
                 summary.max_center_residual = max(
@@ -349,7 +344,7 @@ def run_stream_batches(batches: Iterable[PoseBatch], intrinsics: Intrinsics,
             rows = np.column_stack([block.uv / cfg.map_scale, block.magnitude])
             pts, ok = np.concatenate([tail_pts, rows]), np.concatenate([tail_ok, block.projectable])
             for e, frame in enumerate(block.frames.tolist(), len(tail_ok)):
-                lo = max(0, e + 1 - cfg.focus_n)  # the frame's window is rows lo to e
+                lo = max(0, e + 1 - fcfg.n_points)  # the frame's window is rows lo to e
                 # A repeat frame: its sample is not projectable, and neither is
                 # the one it evicts (row lo - 1), if any, so its map has the
                 # previous frame's projectable points and bytes. A depth output
@@ -363,12 +358,13 @@ def run_stream_batches(batches: Iterable[PoseBatch], intrinsics: Intrinsics,
                 while len(pending) >= max_inflight:
                     _finish(*pending.popleft())
             # The next frame evicts the first of these rows.
-            tail_pts, tail_ok = pts[-cfg.focus_n:].copy(), ok[-cfg.focus_n:].copy()
+            tail_pts, tail_ok = pts[-fcfg.n_points:].copy(), ok[-fcfg.n_points:].copy()
         while pending:
             _finish(*pending.popleft())
 
     # A completed run emits every frame it was given exactly once.
-    summary.frames_in = summary.frames_emitted
+    summary.windows = state.window_count
+    summary.frames_in = summary.frames_emitted = state.emitted_count
     summary.wall_seconds = time.perf_counter() - t_start
     if summary.wall_seconds > 0:
         summary.poses_per_second = summary.frames_emitted / summary.wall_seconds

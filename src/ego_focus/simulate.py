@@ -16,7 +16,7 @@ stream is chunked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -129,39 +129,30 @@ def _splitmix_unit(seed: int, frames: np.ndarray, lane: int) -> np.ndarray:
     return x.astype(np.float64) / 2.0**63 - 1.0
 
 
-@dataclass(frozen=True)
-class _NoiseParams:
-    """Seed-derived constants shared by every chunk of one stream."""
-
-    bob_phases: np.ndarray
-    bob_freqs: np.ndarray = field(default_factory=lambda: np.array([0.11, 0.23, 0.11]))
-    jitter_axis: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    jitter_phase: float = 0.0
-    jitter_freq: float = 0.17
-
-    @classmethod
-    def from_seed(cls, seed: int) -> "_NoiseParams":
-        rng = np.random.default_rng(seed)
-        phases = rng.uniform(0.0, 2.0 * math.pi, size=3)
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        return cls(bob_phases=phases, jitter_axis=axis,
-                   jitter_phase=float(rng.uniform(0.0, 2.0 * math.pi)))
+def _noise_draws(seed: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Bob phases, jitter axis and jitter phase: shared by every chunk of one stream."""
+    rng = np.random.default_rng(seed)
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=3)
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    return phases, axis, float(rng.uniform(0.0, 2.0 * math.pi))
 
 
+_BOB_FREQS = np.array([0.11, 0.23, 0.11])
+_JITTER_FREQ = 0.17
 # Component weights keep the bob displacement norm strictly below the
 # amplitude: sqrt(0.3^2 + 0.9^2 + 0.3^2) < 1.
 _BOB_WEIGHTS = np.array([0.3, 0.9, 0.3])
 
 
-def _bob_offsets(spec: ScenarioSpec, params: _NoiseParams, t: np.ndarray) -> np.ndarray:
+def _bob_offsets(spec: ScenarioSpec, phases: np.ndarray, t: np.ndarray) -> np.ndarray:
     if spec.bob_amplitude == 0.0:
         return np.zeros((t.shape[0], 3))
     if spec.noise_kind == "white":
         lanes = [_splitmix_unit(spec.seed, t.astype(np.int64), lane) for lane in range(3)]
         unit = np.stack(lanes, axis=1) / math.sqrt(3.0)
     else:
-        args = 2.0 * math.pi * params.bob_freqs[None, :] * t[:, None] + params.bob_phases[None, :]
+        args = 2.0 * math.pi * _BOB_FREQS[None, :] * t[:, None] + phases[None, :]
         unit = _BOB_WEIGHTS[None, :] * np.sin(args)
     return spec.bob_amplitude * unit
 
@@ -247,7 +238,8 @@ def _heading_frames(vel: np.ndarray) -> np.ndarray:
     return r_c2w
 
 
-def _poses_for_range(spec: ScenarioSpec, params: _NoiseParams, start: int, stop: int):
+def _poses_for_range(spec: ScenarioSpec, noise: tuple, start: int, stop: int):
+    phases, axis, phase = noise
     t = np.arange(start, stop, dtype=np.float64)
     pos, vel, acc = _kinematics(spec, t)
     r_c2w = _heading_frames(vel)
@@ -257,16 +249,16 @@ def _poses_for_range(spec: ScenarioSpec, params: _NoiseParams, start: int, stop:
         ry = np.stack([rotation_about_gravity(a) for a in phi])
         r_c2w = np.einsum("nij,njk->nik", ry, r_c2w)
 
-    centers = pos + _bob_offsets(spec, params, t)
+    centers = pos + _bob_offsets(spec, phases, t)
 
     if spec.jitter_amplitude_rad > 0.0:
         if spec.noise_kind == "white":
             angles = spec.jitter_amplitude_rad * _splitmix_unit(spec.seed, t.astype(np.int64), 3)
         else:
             angles = spec.jitter_amplitude_rad * np.sin(
-                2.0 * math.pi * params.jitter_freq * t + params.jitter_phase
+                2.0 * math.pi * _JITTER_FREQ * t + phase
             )
-        jitter = np.stack([_rotvec_matrix(params.jitter_axis, a) for a in angles])
+        jitter = np.stack([_rotvec_matrix(axis, a) for a in angles])
         r_c2w = np.einsum("nij,njk->nik", r_c2w, jitter)
 
     r_w2c = np.ascontiguousarray(np.transpose(r_c2w, (0, 2, 1)))
@@ -280,8 +272,7 @@ def _poses_for_range(spec: ScenarioSpec, params: _NoiseParams, start: int, stop:
 
 def generate_trajectory(spec: ScenarioSpec) -> tuple[PoseBatch, TrajectoryTruth]:
     """All frames at once. Use iter_trajectory for very long streams."""
-    params = _NoiseParams.from_seed(spec.seed)
-    return _poses_for_range(spec, params, 0, spec.frames)
+    return _poses_for_range(spec, _noise_draws(spec.seed), 0, spec.frames)
 
 
 def iter_trajectory(spec: ScenarioSpec, chunk_size: int = 512
@@ -289,9 +280,9 @@ def iter_trajectory(spec: ScenarioSpec, chunk_size: int = 512
     """Chunked generation with bounded memory; chunking never changes values."""
     if chunk_size < 1:
         raise ConfigError("chunk_size", f"must be >= 1, got {chunk_size}")
-    params = _NoiseParams.from_seed(spec.seed)
+    noise = _noise_draws(spec.seed)
     for start in range(0, spec.frames, chunk_size):
-        yield _poses_for_range(spec, params, start, min(start + chunk_size, spec.frames))
+        yield _poses_for_range(spec, noise, start, min(start + chunk_size, spec.frames))
 
 
 def oracle_focus_point(a_world: np.ndarray, pose: CameraPose, k: Intrinsics,

@@ -20,7 +20,6 @@ are expected to drain that list as they go.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -34,6 +33,7 @@ from .geometry import (
     RigidTransform,
     _gravity_ypr,
     orthonormalize,
+    require_integer,
     rotation_about_gravity,
     rotation_angle,
     rotation_drift,
@@ -63,14 +63,18 @@ class WindowPlan:
     total_frames: Optional[int] = None
 
     def __post_init__(self):
+        require_integer("window_size", self.window_size)
+        require_integer("overlap", self.overlap)
         if self.window_size < 1:
             raise PlanError(f"window_size must be >= 1, got {self.window_size}")
         if not 0 <= self.overlap < self.window_size:
             raise PlanError(
                 f"overlap must satisfy 0 <= O < L, got O={self.overlap} L={self.window_size}"
             )
-        if self.total_frames is not None and self.total_frames < 1:
-            raise PlanError(f"total_frames must be >= 1, got {self.total_frames}")
+        if self.total_frames is not None:
+            require_integer("total_frames", self.total_frames)
+            if self.total_frames < 1:
+                raise PlanError(f"total_frames must be >= 1, got {self.total_frames}")
 
     @property
     def stride(self) -> int:
@@ -78,16 +82,14 @@ class WindowPlan:
 
     @property
     def n_windows(self) -> int:
-        if self.total_frames is None:
-            raise PlanError("n_windows is undefined for an open-ended plan")
-        if self.total_frames <= self.window_size:
-            return 1
-        return 1 + math.ceil((self.total_frames - self.window_size) / self.stride)
+        return len(self.windows())
 
     def windows(self) -> list[tuple[int, int]]:
         """Half-open frame-offset range of every window of a known-length plan."""
+        if self.total_frames is None:
+            raise PlanError("n_windows is undefined for an open-ended plan")
         return [(start, min(start + self.window_size, self.total_frames))
-                for start in range(0, self.n_windows * self.stride, self.stride)]
+                for start in range(0, max(1, self.total_frames - self.overlap), self.stride)]
 
 
 def plan_windows(total_frames: int, window_size: int = DEFAULT_WINDOW_SIZE,

@@ -368,8 +368,8 @@ def link_replacing(source: Union[str, os.PathLike], path: Union[str, os.PathLike
 
 
 def pgm_bytes(values: np.ndarray, scratch: Optional[np.ndarray] = None,
-              footprint: tuple[slice, slice] = (slice(None), slice(None))) -> bytes:
-    """Encode a [0, 1] map as binary PGM (P5, maxval 255).
+              footprint: tuple[slice, slice] = (slice(None), slice(None))) -> bytearray:
+    """Encode a [0, 1] map as binary PGM (P5, maxval 255), in a new bytearray.
 
     Only ``footprint``, rows and columns as two slices, is encoded; every
     pixel outside it is 0, as every value there must be. ``scratch``, a
@@ -389,7 +389,7 @@ def pgm_bytes(values: np.ndarray, scratch: Optional[np.ndarray] = None,
     np.rint(scaled, out=scaled)
     pixels = np.frombuffer(data, np.uint8, offset=len(header)).reshape(h, w)
     pixels[footprint] = scaled
-    return bytes(data)
+    return data
 
 
 def write_pgm(values: np.ndarray, path: Union[str, os.PathLike]) -> None:

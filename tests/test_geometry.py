@@ -404,6 +404,12 @@ class TestIntrinsics:
             Intrinsics(fx=-1.0, fy=600.0, cx=480.0, cy=270.0, width=960, height=540)
         with pytest.raises(ConfigError, match="width"):
             Intrinsics(fx=600.0, fy=600.0, cx=480.0, cy=270.0, width=0, height=540)
+        # sizes are integers, 2.0 included; numpy integers pass
+        base = dict(fx=10.0, fy=10.0, cx=40.0, cy=30.0, width=80, height=60)
+        for key, value in (("width", 80.5), ("height", 2.0), ("width", "80")):
+            with pytest.raises(ConfigError, match=f"^{key}: must be an integer, got {value!r}$"):
+                Intrinsics(**dict(base, **{key: value}))
+        assert Intrinsics(**dict(base, width=np.int64(80), height=np.uint16(60))).width == 80
 
     def test_scaled_divides_everything(self):
         k = Intrinsics(fx=600.0, fy=500.0, cx=480.0, cy=270.0, width=960, height=540)

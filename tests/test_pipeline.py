@@ -138,6 +138,8 @@ class TestIterWindowsProperties:
             summary = run_stream(iter(items), TINY, cfg, out_dir)
         assert summary.frames_in == n
         assert summary.maps_written == max(0, n - 2)
+        assert summary.windows == (len(plan_windows(n, size, overlap).windows()) if n else 0)
+        assert summary.boundaries == (max(0, summary.windows - 1) if overlap else 0)
 
 
 class TestRunConfig:
@@ -380,7 +382,9 @@ class TestOutputWrites:
         for recorded in runs.values():
             assert {thread for thread, _, _ in recorded} == {caller}
             assert [name for _, name, _ in recorded] == expected
-        assert {type(what) for _, _, what in runs[1]} == {bytes, str}
+        # a write's payload is bytes or bytearray, a link's source a file name
+        assert {bytes if type(what) is bytearray else type(what)
+                for _, _, what in runs[1]} == {bytes, str}
         assert runs[2] == runs[1]
         assert runs[4] == runs[1]
 

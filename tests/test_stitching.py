@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ego_focus import (
     SCENARIOS,
     CameraPose,
+    ConfigError,
     PlanError,
     PoseBatch,
     ScenarioSpec,
@@ -108,6 +109,12 @@ class TestWindowPlan:
             WindowPlan(window_size=10, overlap=-1)
         with pytest.raises(PlanError):
             plan_windows(0, 10, 2)
+        # sizes are integers, 2.0 included; numpy integers pass
+        for key, args in (("window_size", (60.0, 5)), ("overlap", (60, 5.0)),
+                          ("total_frames", (60, 5, 600.0)), ("window_size", (2.0, 1))):
+            with pytest.raises(ConfigError, match=f"^{key}: must be an integer, got "):
+                WindowPlan(*args)
+        assert WindowPlan(np.int64(60), np.int32(5), np.uint16(600)).n_windows == 11
 
     def test_open_ended_plan_has_no_count(self):
         plan = WindowPlan(window_size=10, overlap=2)
