@@ -76,8 +76,11 @@ def compare(dir_a, dir_b):
 
 if __name__ == "__main__":
     argv, flags = sys.argv[1:], set()
-    while argv[0] in ("--emit-float-maps", "--depth"):
+    while argv[:1] in (["--emit-float-maps"], ["--depth"]):
         flags.add(argv.pop(0))
+    if len(argv) < 2 + (argv[:1] == ["--dirs"]):  # two trees, or --dirs and two directories
+        print(__doc__[__doc__.index("Usage"):__doc__.index("\nBuilds")], file=sys.stderr)
+        sys.exit(2)
     if argv[0] == "--dirs":
         sys.exit(compare(*argv[1:3]))
     for name, seed in [(w, s) for w in ("long_stream", "batched_stitch") for s in argv[2:] or "05"]:

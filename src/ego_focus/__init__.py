@@ -16,7 +16,6 @@ from .geometry import (
     PoseBatch,
     RigidTransform,
     compose_gravity_ypr,
-    decompose_gravity_ypr,
     orthonormalize,
     project_pinhole_many,
     rotation_about_gravity,
@@ -60,8 +59,6 @@ from .streams import (
     read_focus_map_float,
     read_pgm,
     write_depth_map,
-    write_focus_map_float,
-    write_pgm,
     write_pose_stream,
 )
 

@@ -71,17 +71,17 @@ def orthonormalize(rotation: np.ndarray) -> np.ndarray:
     return u @ vt
 
 
-def _checked_poses(first_frame: int, rotations: np.ndarray, translations: np.ndarray,
-                   name=None) -> tuple[np.ndarray, np.ndarray]:
+def _checked_poses(first_frame: int, rotations: np.ndarray,
+                   translations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Apply the drift policy to a stack of poses, once for all rows.
 
     rotations is (n, 3, 3), translations (n, 3). Drift and det are
     computed for every row at once; rows with drift at most
     ORTHONORMAL_TOL are kept bit for bit and only the rows above it are
     repaired by polar projection. The first row that fails raises
-    InvalidPoseError named by ``name(i)``, frame ``first_frame + i`` by
-    default, with the checks in this order: non-finite rotation, drift
-    over REORTHONORMALIZE_LIMIT, det <= 0, non-finite translation.
+    InvalidPoseError naming its frame ``first_frame + i``, with the
+    checks in this order: non-finite rotation, drift over
+    REORTHONORMALIZE_LIMIT, det <= 0, non-finite translation.
     Returns float64 arrays, the input ones where no row was repaired.
     """
     r = np.asarray(rotations, dtype=np.float64)
@@ -102,7 +102,7 @@ def _checked_poses(first_frame: int, rotations: np.ndarray, translations: np.nda
     reflected = np.linalg.det(np.where(finite[:, None, None], r, _EYE3)) <= 0.0
     bad = ~(drift <= REORTHONORMALIZE_LIMIT) | reflected | ~np.isfinite(t).all(axis=1)
     i = int(np.argmax(bad))
-    what = name(i) if name is not None else f"frame {first_frame + i}"
+    what = f"frame {first_frame + i}"
     if not finite[i]:
         raise InvalidPoseError(f"{what}: rotation has non-finite entries")
     if drift[i] > REORTHONORMALIZE_LIMIT:
@@ -136,9 +136,9 @@ class PoseBatch:
     ``translations[i]`` (3,). The constructor applies the drift policy
     to all rows at once and stores read-only copies. A batch is also a
     read-only sequence of CameraPose: ``batch[i]`` is a one-row view of
-    row i (a fresh object each time, equal by value), a slice with step
-    1 is a PoseBatch sharing the same arrays, any other slice is a list,
-    and ``batch + poses`` is the list of both sides' poses.
+    row i (a fresh object each time, equal by value) and a slice is a
+    PoseBatch sharing the same arrays. A slice needs step 1, so that its
+    rows stay consecutive frames.
     """
 
     __slots__ = ("first_frame", "rotations", "translations")
@@ -205,7 +205,7 @@ class PoseBatch:
         if isinstance(key, slice):
             start, stop, step = key.indices(len(self))
             if step != 1:
-                return [self[i] for i in range(start, stop, step)]
+                raise ValueError(f"slice step must be 1 (consecutive frames), got {step}")
             stop = max(start, stop)
             return PoseBatch._wrap(self.first_frame + start, self.rotations[start:stop],
                                    self.translations[start:stop])
@@ -216,17 +216,12 @@ class PoseBatch:
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 
-    def __add__(self, other):
-        return list(self) + list(other)
-
     def __eq__(self, other):
         if isinstance(other, PoseBatch):
             return (len(self) == len(other)
                     and (not len(self) or self.first_frame == other.first_frame)
                     and np.array_equal(self.rotations, other.rotations)
                     and np.array_equal(self.translations, other.translations))
-        if isinstance(other, (list, tuple)):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
         return NotImplemented
 
     __hash__ = None
@@ -339,23 +334,9 @@ def compose_gravity_ypr(yaw: float, pitch: float, roll: float) -> np.ndarray:
     return rotation_about_gravity(yaw) @ rx_rz
 
 
-def decompose_gravity_ypr(rotation: np.ndarray) -> GravityYpr:
-    """Factor a rotation as R_Y(yaw) @ R_X(pitch) @ R_Z(roll).
-
-    For a camera pose pass the camera-to-world rotation; yaw is then
-    atan2(f_x, f_z) of the forward axis f. Raises
-    DegenerateOrientationError when |pitch| is within GIMBAL_TOL of
-    pi/2; the error carries the yaw under the roll = 0 convention.
-    """
-    r = np.asarray(rotation, dtype=np.float64)
-    if r.shape != (3, 3):
-        raise ValueError(f"decompose_gravity_ypr: rotation must be 3x3, got {r.shape}")
-    r = _checked_poses(0, r[None], np.zeros((1, 3)), lambda i: "decompose_gravity_ypr")[0][0]
-    return _gravity_ypr(r)
-
-
 def _gravity_ypr(m: np.ndarray) -> GravityYpr:
-    # decompose_gravity_ypr for a matrix that already passed the drift check.
+    # Factors a rotation that passed the drift check as R_Y(yaw) @ R_X(pitch) @ R_Z(roll).
+    # Near |pitch| = pi/2 raises DegenerateOrientationError carrying the roll = 0 yaw.
     (m00, m01, m02), (m10, m11, m12), (_, _, m22) = m.tolist()
     sp = min(1.0, max(-1.0, -m12))
     pitch = math.asin(sp)
@@ -394,7 +375,8 @@ def rotation_angle(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
 
 
 def require_integer(key: str, value) -> None:
-    if not isinstance(value, (int, np.integer)):
+    # bool is an int subclass, but True is not a size or a count.
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ConfigError(key, f"must be an integer, got {value!r}")
 
 

@@ -28,6 +28,7 @@ from .geometry import (
     PoseBatch,
     RigidTransform,
     compose_gravity_ypr,
+    require_integer,
     rotation_about_gravity,
 )
 from .motion import FocusConfig
@@ -85,6 +86,8 @@ class ScenarioSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", canonical_scenario(self.kind))
+        require_integer("frames", self.frames)
+        require_integer("seed", self.seed)
         if self.frames < 1:
             raise ConfigError("frames", f"must be >= 1, got {self.frames}")
         if self.seed < 0:
@@ -120,7 +123,7 @@ def _splitmix_unit(seed: int, frames: np.ndarray, lane: int) -> np.ndarray:
     """Hash-based uniform in [-1, 1), chunk-independent by construction."""
     x = frames.astype(np.uint64)
     x = x * np.uint64(0x9E3779B97F4A7C15)
-    x ^= np.uint64((seed * 0xBF58476D1CE4E5B9 + lane * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF)
+    x ^= np.uint64((int(seed) * 0xBF58476D1CE4E5B9 + lane * 0x94D049BB133111EB) % 2**64)
     x ^= x >> np.uint64(30)
     x = x * np.uint64(0xBF58476D1CE4E5B9)
     x ^= x >> np.uint64(27)
@@ -278,6 +281,7 @@ def generate_trajectory(spec: ScenarioSpec) -> tuple[PoseBatch, TrajectoryTruth]
 def iter_trajectory(spec: ScenarioSpec, chunk_size: int = 512
                     ) -> Iterator[tuple[PoseBatch, TrajectoryTruth]]:
     """Chunked generation with bounded memory; chunking never changes values."""
+    require_integer("chunk_size", chunk_size)
     if chunk_size < 1:
         raise ConfigError("chunk_size", f"must be >= 1, got {chunk_size}")
     noise = _noise_draws(spec.seed)
@@ -311,16 +315,15 @@ def perturb_batches(batches: Sequence[PoseBatch],
                     translation_range: float,
                     pitch_range: float = 0.0,
                     roll_range: float = 0.0,
-                    seed: int = 0,
-                    disturb_first: bool = False
+                    seed: int = 0
                     ) -> tuple[list[PoseBatch], list[RigidTransform]]:
     """Give each window its own world frame, like independent inferences.
 
     Window k's poses become T o D_k for a random world-side disturbance
     D_k (yaw about gravity, optional pitch/roll, then translation);
     recovering D_k is exactly the stitcher's job. The first window is
-    left untouched by default so the stitched result stays in the
-    ground-truth frame.
+    left untouched so the stitched result stays in the ground-truth
+    frame.
     """
     rng = np.random.default_rng(seed)
     out_batches: list[PoseBatch] = []
@@ -331,7 +334,7 @@ def perturb_batches(batches: Sequence[PoseBatch],
         pitch = float(rng.uniform(-pitch_range, pitch_range)) if pitch_range else 0.0
         roll = float(rng.uniform(-roll_range, roll_range)) if roll_range else 0.0
         trans = rng.uniform(-translation_range, translation_range, size=3)
-        if idx == 0 and not disturb_first:
+        if idx == 0:
             # untouched, not merely composed with identity: same batch out
             disturbances.append(RigidTransform(np.eye(3), np.zeros(3)))
             out_batches.append(batch)

@@ -80,14 +80,10 @@ class WindowPlan:
     def stride(self) -> int:
         return self.window_size - self.overlap
 
-    @property
-    def n_windows(self) -> int:
-        return len(self.windows())
-
     def windows(self) -> list[tuple[int, int]]:
         """Half-open frame-offset range of every window of a known-length plan."""
         if self.total_frames is None:
-            raise PlanError("n_windows is undefined for an open-ended plan")
+            raise PlanError("windows() is undefined for an open-ended plan")
         return [(start, min(start + self.window_size, self.total_frames))
                 for start in range(0, max(1, self.total_frames - self.overlap), self.stride)]
 
@@ -152,8 +148,8 @@ def anchor_correction(frame: int, prev_rotation: np.ndarray, prev_center: np.nda
     """
     s_full_rotation = prev_rotation.T @ cur_rotation
     # Both factors passed the drift policy, so the product is finite with
-    # det > 0: of decompose_gravity_ypr's check only the repair can apply.
-    # Doing just that takes about 7 us per boundary, the full call 24 us.
+    # det > 0: of the drift policy only the repair can apply. Doing just
+    # that takes about 7 us per boundary, the full check 24 us.
     if rotation_drift(s_full_rotation) > ORTHONORMAL_TOL:
         s_full_rotation = orthonormalize(s_full_rotation)
     try:

@@ -392,12 +392,8 @@ def pgm_bytes(values: np.ndarray, scratch: Optional[np.ndarray] = None,
     return data
 
 
-def write_pgm(values: np.ndarray, path: Union[str, os.PathLike]) -> None:
-    atomic_write_bytes(path, pgm_bytes(values))
-
-
 def read_pgm(path: Union[str, os.PathLike]) -> np.ndarray:
-    """Minimal binary-PGM reader (as written by write_pgm)."""
+    """Minimal binary-PGM reader (as encoded by pgm_bytes)."""
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.startswith(b"P5"):
@@ -437,10 +433,6 @@ def _read_raw_map(path: Union[str, os.PathLike], magic: bytes) -> np.ndarray:
                                     f"{expected} (truncated payload or wrong header)")
         raw = fh.read(4 * w * h)
     return np.frombuffer(raw, dtype="<f4").reshape(h, w)
-
-
-def write_focus_map_float(values: np.ndarray, path: Union[str, os.PathLike]) -> None:
-    atomic_write_bytes(path, raw_map_bytes(values, FOCUS_MAP_MAGIC))
 
 
 def read_focus_map_float(path: Union[str, os.PathLike]) -> np.ndarray:

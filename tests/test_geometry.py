@@ -12,12 +12,11 @@ from ego_focus import (
     PlanError,
     PoseBatch,
     compose_gravity_ypr,
-    decompose_gravity_ypr,
     project_pinhole_many,
     rotation_about_gravity,
     rotation_angle,
 )
-from ego_focus.geometry import orthonormalize, rotation_drift, window_median
+from ego_focus.geometry import _gravity_ypr, orthonormalize, rotation_drift, window_median
 
 
 def random_rotation(rng):
@@ -205,8 +204,10 @@ class TestPoseBatchSequence:
         part = b[2:5]
         assert isinstance(part, PoseBatch)
         assert (part.first_frame, len(part)) == (12, 3)
-        assert part == [b[2], b[3], b[4]]
-        assert [p.frame_index for p in b[::2]] == [10, 12, 14]
+        assert list(part) == [b[2], b[3], b[4]]
+        for step in (2, -1):  # the rows would not be consecutive frames
+            with pytest.raises(ValueError, match=f"slice step must be 1 .*, got {step}$"):
+                b[::step]
         assert len(b[7:9]) == 0
 
     def test_from_poses_and_concat_need_consecutive_frames(self):
@@ -282,7 +283,7 @@ class TestGravityYpr:
         np.testing.assert_allclose(m, self.YPR_MATRIX, rtol=0, atol=1e-15)
 
     def test_decompose_worked_example(self):
-        ypr = decompose_gravity_ypr(self.YPR_MATRIX)
+        ypr = _gravity_ypr(self.YPR_MATRIX)
         assert ypr.yaw == pytest.approx(0.3, abs=1e-12)
         assert ypr.pitch == pytest.approx(-0.2, abs=1e-12)
         assert ypr.roll == pytest.approx(0.1, abs=1e-12)
@@ -294,28 +295,28 @@ class TestGravityYpr:
             pitch = rng.uniform(-math.pi / 2 + 1e-3, math.pi / 2 - 1e-3)
             roll = rng.uniform(-math.pi, math.pi)
             m = compose_gravity_ypr(yaw, pitch, roll)
-            back = decompose_gravity_ypr(m)
+            back = _gravity_ypr(m)
             np.testing.assert_allclose(
                 compose_gravity_ypr(back.yaw, back.pitch, back.roll), m, rtol=0, atol=1e-9
             )
             assert back.pitch == pytest.approx(pitch, abs=1e-9)
 
     def test_pure_yaw_recovered_exactly(self):
-        ypr = decompose_gravity_ypr(rotation_about_gravity(0.3))
+        ypr = _gravity_ypr(rotation_about_gravity(0.3))
         assert ypr.yaw == 0.3
         assert ypr.pitch == pytest.approx(0.0, abs=0.0)
         assert ypr.roll == 0.0
 
     def test_angles_wrap_into_half_open_pi(self):
         m = compose_gravity_ypr(math.pi, 0.0, 0.0)
-        ypr = decompose_gravity_ypr(m)
+        ypr = _gravity_ypr(m)
         assert -math.pi < ypr.yaw <= math.pi
 
     def test_gimbal_lock_raises_with_fallback_yaw(self):
         # pitch at +90deg collapses yaw/roll into one degree of freedom
         m = compose_gravity_ypr(0.4, math.pi / 2, 0.0)
         with pytest.raises(DegenerateOrientationError) as exc_info:
-            decompose_gravity_ypr(m)
+            _gravity_ypr(m)
         err = exc_info.value
         assert err.roll == 0.0
         assert err.yaw == pytest.approx(0.4, abs=1e-9)
@@ -324,12 +325,12 @@ class TestGravityYpr:
     def test_near_gimbal_inside_tolerance_raises(self):
         m = compose_gravity_ypr(0.0, math.pi / 2 - 1e-8, 0.0)
         with pytest.raises(DegenerateOrientationError):
-            decompose_gravity_ypr(m)
+            _gravity_ypr(m)
 
     def test_just_outside_gimbal_tolerance_decomposes(self):
         pitch = math.pi / 2 - 1e-4
         m = compose_gravity_ypr(0.2, pitch, -0.3)
-        back = decompose_gravity_ypr(m)
+        back = _gravity_ypr(m)
         np.testing.assert_allclose(compose_gravity_ypr(back.yaw, back.pitch, back.roll), m, rtol=0, atol=1e-9)
 
 
@@ -404,9 +405,10 @@ class TestIntrinsics:
             Intrinsics(fx=-1.0, fy=600.0, cx=480.0, cy=270.0, width=960, height=540)
         with pytest.raises(ConfigError, match="width"):
             Intrinsics(fx=600.0, fy=600.0, cx=480.0, cy=270.0, width=0, height=540)
-        # sizes are integers, 2.0 included; numpy integers pass
+        # sizes are integers, 2.0 and True included; numpy integers pass
         base = dict(fx=10.0, fy=10.0, cx=40.0, cy=30.0, width=80, height=60)
-        for key, value in (("width", 80.5), ("height", 2.0), ("width", "80")):
+        for key, value in (("width", 80.5), ("height", 2.0), ("width", "80"), ("width", True),
+                           ("height", True)):
             with pytest.raises(ConfigError, match=f"^{key}: must be an integer, got {value!r}$"):
                 Intrinsics(**dict(base, **{key: value}))
         assert Intrinsics(**dict(base, width=np.int64(80), height=np.uint16(60))).width == 80

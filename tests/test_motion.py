@@ -515,7 +515,7 @@ class TestFocusConfigValidation:
     def test_bad_values_rejected_with_key(self):
         with pytest.raises(ConfigError, match="n_points"):
             FocusConfig(n_points=0)
-        for value in (2.5, 2.0):
+        for value in (2.5, 2.0, True):
             with pytest.raises(ConfigError, match=f"^n_points: must be an integer, got {value}$"):
                 FocusConfig(n_points=value)
         assert FocusConfig(n_points=np.int32(3)).n_points == 3

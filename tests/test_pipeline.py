@@ -149,7 +149,7 @@ class TestRunConfig:
         assert cfg.overlap == 5
         assert cfg.focus_n == 15
         assert cfg.plan().stride == 55
-        assert plan_windows(600, cfg.window_size, cfg.overlap).n_windows == 11
+        assert len(plan_windows(600, cfg.window_size, cfg.overlap).windows()) == 11
         assert cfg.focus_config().n_points == 15
 
     def test_bad_values_rejected_eagerly(self):
@@ -161,9 +161,10 @@ class TestRunConfig:
             RunConfig(normalize="max")
         with pytest.raises(Exception):
             RunConfig(window_size=10, overlap=10)
-        # counts and sizes are integers, 2.0 included
+        # counts and sizes are integers, 2.0 and True included
         for key, value in (("map_scale", 2.0), ("focus_n", 2.5), ("window_size", 60.0),
-                           ("overlap", 5.0), ("threads", 2.5), ("threads", "2")):
+                           ("overlap", 5.0), ("threads", 2.5), ("threads", "2"),
+                           ("map_scale", True), ("focus_n", True), ("threads", True)):
             with pytest.raises(ConfigError, match=f"^{key}: must be an integer, got {value!r}$"):
                 RunConfig(**{key: value})
         assert RunConfig(map_scale=np.int64(2), focus_n=np.int32(3), threads=np.uint8(2))
@@ -231,7 +232,7 @@ class TestRunStream:
         summary = run_stream(iter(poses), WIDE, RunConfig(), str(out))
         assert summary.frames_in == 130
         assert summary.frames_emitted == 130
-        assert summary.windows == plan_windows(130, 60, 5).n_windows
+        assert summary.windows == len(plan_windows(130, 60, 5).windows())
         assert summary.samples == 128  # first two frames have no acceleration
         assert summary.maps_written == 128
         assert summary.points_projected == 128

@@ -23,7 +23,7 @@ from ego_focus import (
     rotation_angle,
     stitch_step,
 )
-from ego_focus.geometry import compose_gravity_ypr
+from ego_focus.geometry import _gravity_ypr, compose_gravity_ypr
 
 
 def arc_poses(frames, seed=7):
@@ -60,15 +60,15 @@ def run_plan(batches, plan, **kwargs):
     out = []
     for batch in batches:
         state, emitted = stitch_step(state, batch, plan, **kwargs)
-        out.extend(emitted)
-    return state, out
+        out.append(emitted)
+    return state, PoseBatch.concat(out)
 
 
 class TestWindowPlan:
     def test_default_stream_enumeration(self):
         plan = plan_windows(600, 60, 5)
         ws = plan.windows()
-        assert plan.n_windows == 11
+        assert len(ws) == 11
         assert ws[0] == (0, 60)
         assert ws[1] == (55, 115)
         assert ws[2] == (110, 170)
@@ -109,17 +109,19 @@ class TestWindowPlan:
             WindowPlan(window_size=10, overlap=-1)
         with pytest.raises(PlanError):
             plan_windows(0, 10, 2)
-        # sizes are integers, 2.0 included; numpy integers pass
+        # sizes are integers, 2.0 and True included; numpy integers pass
         for key, args in (("window_size", (60.0, 5)), ("overlap", (60, 5.0)),
-                          ("total_frames", (60, 5, 600.0)), ("window_size", (2.0, 1))):
+                          ("total_frames", (60, 5, 600.0)), ("window_size", (2.0, 1)),
+                          ("window_size", (True, False)), ("overlap", (60, True)),
+                          ("total_frames", (60, 5, True))):
             with pytest.raises(ConfigError, match=f"^{key}: must be an integer, got "):
                 WindowPlan(*args)
-        assert WindowPlan(np.int64(60), np.int32(5), np.uint16(600)).n_windows == 11
+        assert len(WindowPlan(np.int64(60), np.int32(5), np.uint16(600)).windows()) == 11
 
     def test_open_ended_plan_has_no_count(self):
         plan = WindowPlan(window_size=10, overlap=2)
-        with pytest.raises(PlanError):
-            plan.n_windows
+        with pytest.raises(PlanError, match="windows"):
+            plan.windows()
 
 
 class TestAnchorCorrection:
@@ -141,9 +143,7 @@ class TestAnchorCorrection:
         d_t = np.array([0.4, 0.0, -1.1])
         local = disturb_world(truth, d_rot, d_t)
         corr = anchor_correction(4, truth.rotation, truth.center, local.rotation, local.center)
-        from ego_focus import decompose_gravity_ypr
-
-        ypr = decompose_gravity_ypr(corr.rotation)
+        ypr = _gravity_ypr(corr.rotation)
         assert ypr.pitch == 0.0
         assert ypr.roll == 0.0
         # anchor centers must still coincide after correcting the local pose
@@ -228,7 +228,7 @@ class TestStitchStep:
         disturbed, dists = perturb_batches(
             batches, yaw_range=0.8, translation_range=2.0, seed=11
         )
-        # first batch untouched by default so the global frame is the truth frame
+        # first batch untouched so the global frame is the truth frame
         assert disturbed[0] == batches[0]
         state, out = run_plan(disturbed, plan)
         assert [p.frame_index for p in out] == list(range(600))
@@ -365,7 +365,7 @@ class TestStitchStep:
     def test_non_contiguous_batch_rejected(self):
         poses = arc_poses(60)
         plan = plan_windows(120, 60, 5)
-        batch = poses[:30] + poses[31:61] if len(poses) > 60 else poses[:30] + poses[31:]
+        batch = list(poses[:30]) + list(poses[31:])
         with pytest.raises(PlanError):
             stitch_step(StitchState(), batch, plan)
 
@@ -404,7 +404,7 @@ class TestStitchStep:
         state, first = stitch_step(state, poses[:60], plan)
         state, second = stitch_step(state, poses[55:75], plan)
         assert state.done
-        assert [p.frame_index for p in first + second] == list(range(75))
+        assert [p.frame_index for p in PoseBatch.concat([first, second])] == list(range(75))
 
     def test_stitching_deterministic(self):
         poses = arc_poses(230)

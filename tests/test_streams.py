@@ -24,8 +24,6 @@ from ego_focus import (
     read_focus_map_float,
     read_pgm,
     write_depth_map,
-    write_focus_map_float,
-    write_pgm,
     write_pose_stream,
 )
 from ego_focus.errors import StreamFormatError
@@ -44,6 +42,7 @@ from ego_focus.streams import (
     focus_map_name,
     link_replacing,
     pgm_bytes,
+    raw_map_bytes,
     records_from_poses,
     write_bench_csv,
     write_intrinsics,
@@ -54,6 +53,11 @@ IDENTITY_LINE = '{"frame":0,"T_wc":[1,0,0,0,0,1,0,0,0,0,1,0,0,0,0,1]}'
 
 def stream_of(*lines):
     return io.StringIO("\n".join(lines) + "\n")
+
+
+def write_mfm(values, path):
+    """A float focus map sidecar, encoded and written as `run` writes one."""
+    atomic_write_bytes(path, raw_map_bytes(values, FOCUS_MAP_MAGIC))
 
 
 class TestLoadPoseStream:
@@ -435,7 +439,7 @@ class TestPgm:
         rng = np.random.default_rng(8)
         values = rng.uniform(0.0, 1.0, size=(5, 7))
         path = tmp_path / "m.pgm"
-        write_pgm(values, path)
+        atomic_write_bytes(path, pgm_bytes(values))
         back = read_pgm(path)
         np.testing.assert_array_equal(back, np.rint(values * 255.0).astype(np.uint8))
 
@@ -462,7 +466,7 @@ class TestRawFloatMaps:
     def test_focus_map_header_layout(self, tmp_path):
         values = np.zeros((2, 3))
         path = tmp_path / "m.mfm"
-        write_focus_map_float(values, path)
+        write_mfm(values, path)
         data = path.read_bytes()
         assert data[:8] == FOCUS_MAP_MAGIC == b"MFMAP\x00\x00\x00"
         assert data[8:16] == (3).to_bytes(4, "little") + (2).to_bytes(4, "little")
@@ -472,7 +476,7 @@ class TestRawFloatMaps:
         rng = np.random.default_rng(9)
         values = rng.uniform(0.0, 1.0, size=(4, 5))
         path = tmp_path / "m.mfm"
-        write_focus_map_float(values, path)
+        write_mfm(values, path)
         back = read_focus_map_float(path)
         assert back.dtype == np.float32
         np.testing.assert_array_equal(back, values.astype(np.float32))
@@ -492,14 +496,17 @@ class TestRawFloatMaps:
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "m.mfm"
-        write_focus_map_float(np.zeros((4, 4)), path)
+        write_mfm(np.zeros((4, 4)), path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(StreamFormatError, match="truncated"):
             read_focus_map_float(path)
 
 
-    @pytest.mark.parametrize("write, read", [(write_focus_map_float, read_focus_map_float),
-                                             (write_depth_map, read_depth_map)])
+    # An explicit id, so that the case keeps its established name.
+    @pytest.mark.parametrize("write, read", [
+        pytest.param(write_mfm, read_focus_map_float,
+                     id="write_focus_map_float-read_focus_map_float"),
+        (write_depth_map, read_depth_map)])
     def test_oversized_header_rejected_before_reading(self, tmp_path, write, read):
         path = tmp_path / "m.mfd"
         write(np.zeros((2, 2)), path)
@@ -511,7 +518,7 @@ class TestRawFloatMaps:
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "m.mfm"
-        write_focus_map_float(np.zeros((4, 4)), path)
+        write_mfm(np.zeros((4, 4)), path)
         path.write_bytes(path.read_bytes() + b"\0" * 4)
         with pytest.raises(StreamFormatError, match="4x4"):
             read_focus_map_float(path)
