@@ -2,7 +2,6 @@
 
 from .errors import (
     ConfigError,
-    DegenerateOrientationError,
     EgoFocusError,
     InvalidPoseError,
     PlanError,

@@ -7,13 +7,13 @@ resolution and reports maps per second. Peak memory is the peak of
 Python-level allocations (tracemalloc) during a dedicated, untimed
 pass, so timing numbers are never taken under instrumentation.
 
-The math stage is fed from the arc simulator, as PoseBatch chunks
-through the same iter_windows -> stitch_step -> MotionStream.push path
-that run_stream_batches takes. For the smallest stream size the poses
-are pre-built so the figure is pure pipeline math; for larger sizes the
-stream is generated on the fly in bounded memory, which makes the
-reported rate a lower bound on the math rate but lets the memory probe
-demonstrate length-independent footprint.
+The math stage is the run's own math loop: the stitch_step ->
+MotionStream.push generator that run_stream_batches drives, fed from
+the arc simulator as PoseBatch chunks through iter_windows. For the
+smallest stream size the poses are pre-built so the figure is pure
+pipeline math; for larger sizes the stream is generated on the fly in
+bounded memory, which makes the reported rate a lower bound on the math
+rate but lets the memory probe demonstrate length-independent footprint.
 """
 
 from __future__ import annotations
@@ -21,15 +21,16 @@ from __future__ import annotations
 import gc
 import time
 import tracemalloc
+from collections import deque
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .geometry import Intrinsics, PoseBatch
-from .motion import FocusConfig, FocusPoint, MotionStream, render_focus_map
-from .pipeline import RunConfig, iter_windows
+from .motion import FocusConfig, FocusPoint, render_focus_map
+from .pipeline import RunConfig, _stitched_blocks, iter_windows
 from .simulate import ScenarioSpec, generate_trajectory, iter_trajectory
-from .stitching import StitchState, stitch_step
+from .stitching import StitchState
 
 _PREBUILD_LIMIT = 200_000
 
@@ -44,17 +45,11 @@ def _bench_spec(frames: int) -> ScenarioSpec:
 
 
 def _consume_math(poses: Iterable[PoseBatch], cfg: RunConfig) -> int:
-    """Stitch + focus math over a pose stream; returns frames processed."""
-    plan = cfg.plan()
+    """The run's stitch + focus math over a pose stream; returns frames processed."""
     state = StitchState()
-    motion = MotionStream(_BENCH_INTRINSICS, cfg.focus_config())
-    frames = 0
-    for batch in iter_windows(poses, cfg.window_size, cfg.overlap):
-        state, emitted = stitch_step(state, batch, plan, anchor_mode=cfg.anchor_mode)
-        state.boundary_log.clear()
-        motion.push(emitted)
-        frames += len(emitted)
-    return frames
+    windows = iter_windows(poses, cfg.window_size, cfg.overlap)
+    deque(_stitched_blocks(windows, _BENCH_INTRINSICS, cfg, state), maxlen=0)
+    return state.emitted_count
 
 
 def _math_row(size: int, cfg: RunConfig) -> dict:

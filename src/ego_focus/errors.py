@@ -16,20 +16,6 @@ class InvalidPoseError(EgoFocusError):
     """Rotation is too far from orthonormal (or is a reflection)."""
 
 
-class DegenerateOrientationError(EgoFocusError):
-    """Pitch is at the gravity singularity; yaw/roll are not separable.
-
-    Carries the yaw obtained under the roll = 0 convention so callers
-    that only need heading can recover and continue.
-    """
-
-    def __init__(self, message: str, yaw: float, pitch: float):
-        super().__init__(message)
-        self.yaw = yaw
-        self.pitch = pitch
-        self.roll = 0.0
-
-
 class StreamDiscontinuityError(EgoFocusError):
     """Frame indices in a pose stream are missing or out of order."""
 

@@ -29,12 +29,13 @@ batch of one row.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateOrientationError, InvalidPoseError, PlanError
+from .errors import ConfigError, InvalidPoseError, PlanError
 
 # Orthonormality drift thresholds, measured as max |R^T R - I|.
 ORTHONORMAL_TOL = 1e-9
@@ -165,11 +166,6 @@ class PoseBatch:
         self.rotations = rotations
         self.translations = translations
         return self
-
-    @staticmethod
-    def from_poses(poses: Sequence["PoseBatch"]) -> "PoseBatch":
-        """Join poses (or batches) whose frames follow one another; a batch comes back as is."""
-        return poses if isinstance(poses, PoseBatch) else PoseBatch.concat(list(poses))
 
     @staticmethod
     def concat(batches: Sequence["PoseBatch"]) -> "PoseBatch":
@@ -336,19 +332,14 @@ def compose_gravity_ypr(yaw: float, pitch: float, roll: float) -> np.ndarray:
 
 def _gravity_ypr(m: np.ndarray) -> GravityYpr:
     # Factors a rotation that passed the drift check as R_Y(yaw) @ R_X(pitch) @ R_Z(roll).
-    # Near |pitch| = pi/2 raises DegenerateOrientationError carrying the roll = 0 yaw.
+    # Within GIMBAL_TOL of |pitch| = pi/2 rotation about Y and about Z collapse
+    # onto each other: pitch is then exactly +-pi/2, roll 0 and yaw takes it all.
     (m00, m01, m02), (m10, m11, m12), (_, _, m22) = m.tolist()
     sp = min(1.0, max(-1.0, -m12))
     pitch = math.asin(sp)
     if math.pi / 2.0 - abs(pitch) <= GIMBAL_TOL:
-        # Rotation about Y and about Z collapse onto each other here.
         sign = 1.0 if sp > 0.0 else -1.0
-        yaw = math.atan2(sign * m01, m00)
-        raise DegenerateOrientationError(
-            f"pitch {pitch:.9f} is at the gravity singularity",
-            yaw=_wrap_pi(yaw),
-            pitch=sign * math.pi / 2.0,
-        )
+        return GravityYpr(_wrap_pi(math.atan2(sign * m01, m00)), sign * math.pi / 2.0, 0.0)
     yaw = math.atan2(m02, m22)
     roll = math.atan2(m10, m11)
     return GravityYpr(_wrap_pi(yaw), pitch, _wrap_pi(roll))
@@ -380,6 +371,19 @@ def require_integer(key: str, value) -> None:
         raise ConfigError(key, f"must be an integer, got {value!r}")
 
 
+def require_number(key: str, value) -> None:
+    # Compared exactly, so an int too large for float64 fails, as NaN and inf do.
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool) \
+            or not abs(value) <= sys.float_info.max:
+        raise ConfigError(key, f"must be a finite number, got {value!r}")
+
+
+def require_bool(key: str, value) -> None:
+    # A truthy string or 1 is not an on/off setting.
+    if not isinstance(value, (bool, np.bool_)):
+        raise ConfigError(key, f"must be True or False, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class Intrinsics:
     """Pinhole intrinsics; width/height in pixels."""
@@ -393,9 +397,7 @@ class Intrinsics:
 
     def __post_init__(self):
         for key in ("fx", "fy", "cx", "cy"):
-            value = getattr(self, key)
-            if not math.isfinite(value):
-                raise ConfigError(key, f"must be finite, got {value}")
+            require_number(key, getattr(self, key))
         if self.fx <= 0 or self.fy <= 0:
             raise ConfigError("fx" if self.fx <= 0 else "fy", "focal length must be > 0")
         for key in ("width", "height"):

@@ -27,7 +27,9 @@ from .geometry import (
     Intrinsics,
     PoseBatch,
     project_pinhole_many,
+    require_bool,
     require_integer,
+    require_number,
     window_median,
 )
 
@@ -72,16 +74,20 @@ class FocusConfig:
         require_integer("n_points", self.n_points)
         if self.n_points < 1:
             raise ConfigError("n_points", f"must be >= 1, got {self.n_points}")
-        if self.sigma_px is not None and not 0 < self.sigma_px < np.inf:
-            raise ConfigError("sigma_px", f"must be finite and > 0, got {self.sigma_px}")
-        if not 0 <= self.eps_z < np.inf:
-            raise ConfigError("eps_z", f"must be finite and >= 0, got {self.eps_z}")
+        if self.sigma_px is not None:
+            require_number("sigma_px", self.sigma_px)
+            if self.sigma_px <= 0:
+                raise ConfigError("sigma_px", f"must be > 0, got {self.sigma_px}")
+        require_number("eps_z", self.eps_z)
+        if self.eps_z < 0:
+            raise ConfigError("eps_z", f"must be >= 0, got {self.eps_z}")
         if self.normalize not in ("peak", "sum"):
             raise ConfigError("normalize", f"must be 'peak' or 'sum', got {self.normalize!r}")
         if self.project_negative not in ("skip", "mirror"):
             raise ConfigError(
                 "project_negative", f"must be 'skip' or 'mirror', got {self.project_negative!r}"
             )
+        require_bool("smooth_positions", self.smooth_positions)
 
     def resolved_sigma(self, width: int) -> float:
         return self.sigma_px if self.sigma_px is not None else SIGMA_WIDTH_FRACTION * width
@@ -118,14 +124,6 @@ class FocusMap:
     values: np.ndarray
     contributing_points: int
     footprint: Footprint = (slice(None), slice(None))
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
 
 
 # The accumulator is filled in bands of rows that stay in a core's cache
@@ -301,9 +299,8 @@ class MotionStream:
         self._raw = np.empty((0, 3))          # last <= 2 raw centers
         self._seq = np.empty((0, 3))          # last <= 2 differencing inputs
 
-    def push(self, poses: PoseBatch) -> MotionBlock:
-        """Feed the next poses (a PoseBatch, or poses of consecutive frames)."""
-        batch = PoseBatch.from_poses(poses)
+    def push(self, batch: PoseBatch) -> MotionBlock:
+        """Feed the poses of the next consecutive frames."""
         centers = batch.centers
         if self.cfg.smooth_positions:
             # Causal moving average of width 3, partial at the stream head.

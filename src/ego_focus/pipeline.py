@@ -41,10 +41,11 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .errors import ConfigError, StreamFormatError
-from .geometry import DEFAULT_EPS_Z, Intrinsics, PoseBatch, require_integer
+from .geometry import DEFAULT_EPS_Z, Intrinsics, PoseBatch, require_bool, require_integer
 from .motion import (
     DEFAULT_FOCUS_N,
     FocusConfig,
+    MotionBlock,
     MotionStream,
     _render_arrays,
     modulate_depth,
@@ -52,6 +53,7 @@ from .motion import (
 from .stitching import (
     DEFAULT_OVERLAP,
     DEFAULT_WINDOW_SIZE,
+    BoundaryEvent,
     StitchState,
     WindowPlan,
     stitch_step,
@@ -111,6 +113,8 @@ class RunConfig:
             raise ConfigError("map_scale", f"must be >= 1, got {self.map_scale}")
         if self.anchor_mode not in ("first", "last"):
             raise ConfigError("anchor_mode", f"must be 'first' or 'last', got {self.anchor_mode!r}")
+        require_bool("scale_correction", self.scale_correction)
+        require_bool("emit_float_maps", self.emit_float_maps)
         # Window constraints are validated by WindowPlan, focus knobs by
         # FocusConfig, a thread count by resolve_threads; run all three
         # eagerly so bad values fail here.
@@ -236,13 +240,27 @@ class _FrameWriter:
             if depth.shape != fmap.values.shape:
                 raise StreamFormatError(
                     f"{depth_path}: depth map is {depth.shape[1]}x{depth.shape[0]}, "
-                    f"the focus map {fmap.width}x{fmap.height}"
+                    f"the focus map {self.map_k.width}x{self.map_k.height}"
                 )
             out = modulate_depth(depth, fmap)
             payloads.append(streams.raw_map_bytes(out, streams.DEPTH_MAP_MAGIC))
         acc[fmap.footprint] = 0.0
         self._buffers.maps = acc, scratch
         return fmap.contributing_points, payloads
+
+
+def _stitched_blocks(batches: Iterable[PoseBatch], intrinsics: Intrinsics, cfg: RunConfig,
+                     state: StitchState) -> Iterator[tuple[list[BoundaryEvent], MotionBlock]]:
+    """The run's math loop: yields each window's boundary events and motion block.
+
+    Every window goes through this module's stitch_step, then MotionStream.push."""
+    plan = cfg.plan()
+    motion = MotionStream(intrinsics, cfg.focus_config())
+    for batch in batches:
+        state, emitted = stitch_step(state, batch, plan, anchor_mode=cfg.anchor_mode,
+                                     scale_correction=cfg.scale_correction)
+        events, state.boundary_log = state.boundary_log, []
+        yield events, motion.push(emitted)
 
 
 def run_stream(poses: Iterable[PoseBatch], intrinsics: Intrinsics,
@@ -274,12 +292,10 @@ def run_stream_batches(batches: Iterable[PoseBatch], intrinsics: Intrinsics,
                                        "for an array; use a larger value")
     os.makedirs(out_dir, exist_ok=True)
     fcfg = cfg.focus_config()
-    plan = cfg.plan()
     sigma = fcfg.resolved_sigma(intrinsics.width) / cfg.map_scale
     writer = _FrameWriter(out_dir, map_k, sigma, fcfg, cfg.emit_float_maps, depth_dir)
 
     state = StitchState()
-    motion = MotionStream(intrinsics, fcfg)
     # The last n_points samples, carried as MotionStream carries its rows:
     # u and v at map scale and magnitude, and whether each is projectable.
     tail_pts, tail_ok = np.empty((0, 3)), np.empty(0, dtype=bool)
@@ -318,11 +334,8 @@ def run_stream_batches(batches: Iterable[PoseBatch], intrinsics: Intrinsics,
             if residuals_path else None
         executor = stack.enter_context(ThreadPoolExecutor(max_workers=n_threads)) \
             if n_threads > 1 else None
-        for batch in batches:
-            state, emitted = stitch_step(state, batch, plan,
-                                         anchor_mode=cfg.anchor_mode,
-                                         scale_correction=cfg.scale_correction)
-            for event in state.boundary_log:
+        for events, block in _stitched_blocks(batches, intrinsics, cfg, state):
+            for event in events:
                 summary.boundaries += 1
                 summary.max_center_residual = max(
                     summary.max_center_residual, float(event.residual.center_dist.max())
@@ -332,13 +345,9 @@ def run_stream_batches(batches: Iterable[PoseBatch], intrinsics: Intrinsics,
                 )
                 if residual_writer is not None:
                     residual_writer.write_residual(event.residual)
-            state.boundary_log.clear()
 
-            block = motion.push(emitted)
             summary.samples += len(block)
-            n_ok = int(np.count_nonzero(block.projectable))
-            summary.points_projected += n_ok
-            summary.points_skipped += len(block) - n_ok
+            summary.points_projected += int(np.count_nonzero(block.projectable))
             points_writer.write_block(block)
 
             rows = np.column_stack([block.uv / cfg.map_scale, block.magnitude])
@@ -365,6 +374,7 @@ def run_stream_batches(batches: Iterable[PoseBatch], intrinsics: Intrinsics,
     # A completed run emits every frame it was given exactly once.
     summary.windows = state.window_count
     summary.frames_in = summary.frames_emitted = state.emitted_count
+    summary.points_skipped = summary.samples - summary.points_projected
     summary.wall_seconds = time.perf_counter() - t_start
     if summary.wall_seconds > 0:
         summary.poses_per_second = summary.frames_emitted / summary.wall_seconds

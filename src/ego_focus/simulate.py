@@ -29,6 +29,7 @@ from .geometry import (
     RigidTransform,
     compose_gravity_ypr,
     require_integer,
+    require_number,
     rotation_about_gravity,
 )
 from .motion import FocusConfig
@@ -93,8 +94,8 @@ class ScenarioSpec:
         if self.seed < 0:
             raise ConfigError("seed", f"must be >= 0, got {self.seed}")
         for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f.name, f"must be finite, got {getattr(self, f.name)}")
+            if f.type == "float":
+                require_number(f.name, getattr(self, f.name))
         if self.kind in ("circular_arc", "head_yaw_divergence"):
             if self.radius <= 0 or self.omega == 0.0:
                 raise ConfigError("radius" if self.radius <= 0 else "omega",
@@ -103,8 +104,9 @@ class ScenarioSpec:
             raise ConfigError("decel", f"must be > 0, got {self.decel}")
         if self.noise_kind not in ("bob", "white"):
             raise ConfigError("noise_kind", f"must be 'bob' or 'white', got {self.noise_kind!r}")
-        if self.bob_amplitude < 0 or self.jitter_amplitude_rad < 0:
-            raise ConfigError("bob_amplitude", "noise amplitudes must be >= 0")
+        for key in ("bob_amplitude", "jitter_amplitude_rad"):
+            if getattr(self, key) < 0:
+                raise ConfigError(key, "noise amplitudes must be >= 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -329,7 +331,6 @@ def perturb_batches(batches: Sequence[PoseBatch],
     out_batches: list[PoseBatch] = []
     disturbances: list[RigidTransform] = []
     for idx, batch in enumerate(batches):
-        batch = PoseBatch.from_poses(batch)
         yaw = float(rng.uniform(-yaw_range, yaw_range))
         pitch = float(rng.uniform(-pitch_range, pitch_range)) if pitch_range else 0.0
         roll = float(rng.uniform(-roll_range, roll_range)) if roll_range else 0.0

@@ -20,12 +20,13 @@ are expected to drain that list as they go.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateOrientationError, PlanError
+from .errors import PlanError
 from .geometry import (
     ORTHONORMAL_TOL,
     GravityYpr,
@@ -111,10 +112,9 @@ class BoundaryResidual:
 
 @dataclass(frozen=True, slots=True)
 class BoundaryEvent:
-    """Correction applied at one boundary plus its residuals."""
+    """Correction applied at one boundary, as gravity yaw/pitch/roll, plus its residuals."""
 
     boundary_index: int
-    correction: RigidTransform
     correction_ypr: GravityYpr
     scale: float
     residual: BoundaryResidual
@@ -128,9 +128,8 @@ class StitchState:
     first_frame: Optional[int] = None
     emitted_count: int = 0
     done: bool = False
-    tail: PoseBatch = field(default_factory=lambda: PoseBatch.from_poses([]))
+    tail: PoseBatch = field(default_factory=lambda: PoseBatch.concat([]))
     boundary_log: list[BoundaryEvent] = field(default_factory=list)
-    _warned_no_overlap: bool = False
 
 
 def anchor_correction(frame: int, prev_rotation: np.ndarray, prev_center: np.ndarray,
@@ -152,16 +151,14 @@ def anchor_correction(frame: int, prev_rotation: np.ndarray, prev_center: np.nda
     # that takes about 7 us per boundary, the full check 24 us.
     if rotation_drift(s_full_rotation) > ORTHONORMAL_TOL:
         s_full_rotation = orthonormalize(s_full_rotation)
-    try:
-        yaw = _gravity_ypr(s_full_rotation).yaw
-    except DegenerateOrientationError as err:
+    ypr = _gravity_ypr(s_full_rotation)
+    if abs(ypr.pitch) == math.pi / 2.0:
         logger.warning(
             "boundary at frame %d: correction pitch is degenerate; "
             "using yaw under the roll=0 convention",
             frame,
         )
-        yaw = err.yaw
-    r_yaw = rotation_about_gravity(yaw)
+    r_yaw = rotation_about_gravity(ypr.yaw)
     return RigidTransform(r_yaw, prev_center - r_yaw @ cur_center)
 
 
@@ -242,16 +239,15 @@ def stitch_step(state: StitchState, batch: PoseBatch, plan: WindowPlan,
                 scale_correction: bool = False) -> tuple[StitchState, PoseBatch]:
     """Fold one window into the global stream.
 
-    The window is a PoseBatch, or a sequence of poses with consecutive
-    frames. The first window is emitted verbatim and defines the global
-    frame. Every later window is aligned through its anchor (the last
-    shared frame by default, the first with anchor_mode="first") and
-    emits only the frames past the overlap. Returns the updated state
-    and the newly emitted, globally aligned poses.
+    The window is a PoseBatch of consecutive frames. The first window is
+    emitted verbatim and defines the global frame. Every later window is
+    aligned through its anchor (the last shared frame by default, the
+    first with anchor_mode="first") and emits only the frames past the
+    overlap. Returns the updated state and the newly emitted, globally
+    aligned poses.
     """
     if anchor_mode not in ("first", "last"):
         raise PlanError(f"anchor_mode must be 'first' or 'last', got {anchor_mode!r}")
-    batch = PoseBatch.from_poses(batch)
     start = _check_batch(state, batch, plan)
     overlap = plan.overlap
 
@@ -259,12 +255,11 @@ def stitch_step(state: StitchState, batch: PoseBatch, plan: WindowPlan,
         state.first_frame = batch.first_frame
         emitted = batch
     elif overlap == 0:
-        if not state._warned_no_overlap:
+        if state.window_count == 1:  # the first boundary, once per stream
             logger.warning(
                 "overlap is 0: windows are emitted as-is, inter-batch drift "
                 "cannot be corrected"
             )
-            state._warned_no_overlap = True
         emitted = batch
     else:
         a = overlap - 1 if anchor_mode == "last" else 0
@@ -281,7 +276,6 @@ def stitch_step(state: StitchState, batch: PoseBatch, plan: WindowPlan,
         state.boundary_log.append(
             BoundaryEvent(
                 boundary_index=state.window_count - 1,
-                correction=correction,
                 correction_ypr=_gravity_ypr(correction.rotation),
                 scale=scale,
                 residual=residual,

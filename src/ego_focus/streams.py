@@ -293,16 +293,15 @@ def write_pose_stream(target: Union[str, os.PathLike, IO[str]],
 def records_from_poses(poses: PoseBatch,
                        truth: Optional[TrajectoryTruth] = None) -> Iterator[PoseStreamRecord]:
     """Pair poses of consecutive frames with per-frame truth rows for serialization."""
-    batch = PoseBatch.from_poses(poses)
-    matrices = np.zeros((len(batch), 4, 4))
-    matrices[:, :3, :3] = batch.rotations
-    matrices[:, :3, 3] = batch.translations
+    matrices = np.zeros((len(poses), 4, 4))
+    matrices[:, :3, :3] = poses.rotations
+    matrices[:, :3, 3] = poses.translations
     matrices[:, 3, 3] = 1.0
     for i, matrix in enumerate(matrices):
         sample = None
         if truth is not None:
             sample = TruthSample(truth.position[i], truth.velocity[i], truth.acceleration[i])
-        yield PoseStreamRecord(batch.first_frame + i, matrix, sample)
+        yield PoseStreamRecord(poses.first_frame + i, matrix, sample)
 
 
 def load_intrinsics(source: Union[str, os.PathLike, IO[str]]) -> Intrinsics:
@@ -315,22 +314,13 @@ def load_intrinsics(source: Union[str, os.PathLike, IO[str]]) -> Intrinsics:
     if not isinstance(obj, dict):
         raise ConfigError("intrinsics", "expected a JSON object")
     values = {}
-    for key in ("fx", "fy", "cx", "cy"):
+    for key in ("fx", "fy", "cx", "cy", "width", "height"):
         if key not in obj:
             raise ConfigError(key, "missing from intrinsics")
-        # Compared exactly, so an int too large for float64 fails too, as NaN does.
-        if type(obj[key]) not in _NUMBER_TYPES or not abs(obj[key]) <= sys.float_info.max:
-            raise ConfigError(key, f"must be a finite number, got {obj[key]!r}")
-        values[key] = float(obj[key])
-    for key in ("width", "height"):
-        if key not in obj:
-            raise ConfigError(key, "missing from intrinsics")
-        v = obj[key]
-        if isinstance(v, float) and v.is_integer():
-            v = int(v)
-        if type(v) is not int:
-            raise ConfigError(key, f"must be an integer, got {obj[key]!r}")
-        values[key] = v
+        values[key] = obj[key]
+    for key in ("width", "height"):  # 640.0 is the size 640
+        if isinstance(values[key], float) and values[key].is_integer():
+            values[key] = int(values[key])
     return Intrinsics(**values)
 
 
@@ -459,7 +449,7 @@ def depth_input_name(frame: int) -> str:
     return f"depth_{frame:06d}.mfd"
 
 
-class _CsvWriter:
+class _CsvWriter(contextlib.ExitStack):
     """Streams CSV rows under a header to an open file or to a path.
 
     A path gets its rows through a temp file that close() renames onto
@@ -471,18 +461,9 @@ class _CsvWriter:
     HEADER = ""
 
     def __init__(self, target: Union[str, os.PathLike, IO[str]]):
-        self._stack = contextlib.ExitStack()
-        self._fh: IO[str] = self._stack.enter_context(_text_file(target, "w"))
+        super().__init__()
+        self._fh: IO[str] = self.enter_context(_text_file(target, "w"))
         self._fh.write(self.HEADER + "\n")
-
-    def close(self) -> None:
-        self._stack.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._stack.__exit__(exc_type, exc, tb)
 
 
 class FocusPointCsvWriter(_CsvWriter):

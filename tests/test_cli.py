@@ -48,6 +48,16 @@ class TestSim:
         assert capsys.readouterr().err.startswith("error: seed: must be >= 0")
         assert os.listdir(tmp_path) == []
 
+    def test_negative_jitter_amplitude_names_its_own_key(self, tmp_path, capsys):
+        rc = main([
+            "sim", "--scenario", "arc", "--frames", "10", "--jitter-amplitude", "-1",
+            "--out", str(tmp_path / "x.jsonl"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "error: jitter_amplitude_rad: noise amplitudes must be >= 0\n"
+        assert os.listdir(tmp_path) == []
+
     def test_unknown_scenario_fails_cleanly(self, tmp_path, capsys):
         rc = main([
             "sim", "--scenario", "warp", "--frames", "10",
@@ -68,7 +78,7 @@ class TestSim:
         ])
         assert rc == 2
         key = "jitter_amplitude_rad" if flag == "--jitter-amplitude" else flag[2:].replace("-", "_")
-        assert capsys.readouterr().err.startswith(f"error: {key}: must be finite, got ")
+        assert capsys.readouterr().err.startswith(f"error: {key}: must be a finite number, got ")
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("scenario", ["constant_velocity", "brake", "climb"])

@@ -1,11 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from ego_focus import (
     CameraPose,
-    DegenerateOrientationError,
     GravityYpr,
     Intrinsics,
     InvalidPoseError,
@@ -212,10 +212,10 @@ class TestPoseBatchSequence:
 
     def test_from_poses_and_concat_need_consecutive_frames(self):
         b = self.batch()
-        assert PoseBatch.from_poses(list(b)) == b
+        assert PoseBatch.concat(list(b)) == b
         assert PoseBatch.concat([b[:2], b[2:]]) == b
         with pytest.raises(PlanError, match="11 followed by 13"):
-            PoseBatch.from_poses([b[0], b[1], b[3]])
+            PoseBatch.concat([b[0], b[1], b[3]])
         with pytest.raises(PlanError):
             PoseBatch.concat([b[:2], b[3:]])
 
@@ -315,17 +315,14 @@ class TestGravityYpr:
     def test_gimbal_lock_raises_with_fallback_yaw(self):
         # pitch at +90deg collapses yaw/roll into one degree of freedom
         m = compose_gravity_ypr(0.4, math.pi / 2, 0.0)
-        with pytest.raises(DegenerateOrientationError) as exc_info:
-            _gravity_ypr(m)
-        err = exc_info.value
-        assert err.roll == 0.0
-        assert err.yaw == pytest.approx(0.4, abs=1e-9)
-        assert abs(err.pitch) == pytest.approx(math.pi / 2, abs=1e-6)
+        ypr = _gravity_ypr(m)
+        assert ypr.roll == 0.0
+        assert ypr.yaw == pytest.approx(0.4, abs=1e-9)
+        assert ypr.pitch == math.pi / 2
 
     def test_near_gimbal_inside_tolerance_raises(self):
         m = compose_gravity_ypr(0.0, math.pi / 2 - 1e-8, 0.0)
-        with pytest.raises(DegenerateOrientationError):
-            _gravity_ypr(m)
+        assert _gravity_ypr(m) == GravityYpr(0.0, math.pi / 2, 0.0)
 
     def test_just_outside_gimbal_tolerance_decomposes(self):
         pitch = math.pi / 2 - 1e-4
@@ -412,6 +409,12 @@ class TestIntrinsics:
             with pytest.raises(ConfigError, match=f"^{key}: must be an integer, got {value!r}$"):
                 Intrinsics(**dict(base, **{key: value}))
         assert Intrinsics(**dict(base, width=np.int64(80), height=np.uint16(60))).width == 80
+        # the focal lengths and the principal point are finite numbers, not True
+        for key, value in (("fx", "a"), ("cx", None), ("fx", True), ("fy", math.nan),
+                           ("fx", 10**400)):
+            with pytest.raises(ConfigError, match=f"^{key}: must be a finite number, got "
+                                                  f"{re.escape(repr(value))}$"):
+                Intrinsics(**dict(base, **{key: value}))
 
     def test_scaled_divides_everything(self):
         k = Intrinsics(fx=600.0, fy=500.0, cx=480.0, cy=270.0, width=960, height=540)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from ego_focus import (
     FocusPoint,
     Intrinsics,
     MotionStream,
+    PoseBatch,
     ScenarioSpec,
     generate_trajectory,
     modulate_depth,
@@ -34,8 +36,8 @@ def point(u, v, mag=1.0, frame=0):
 
 def poses_at(centers, rotation=np.eye(3)):
     """Poses of frames 0, 1, ... with the given camera centers."""
-    return [CameraPose(i, rotation, -rotation @ np.asarray(c, dtype=np.float64))
-            for i, c in enumerate(centers)]
+    return PoseBatch.concat([CameraPose(i, rotation, -rotation @ np.asarray(c, dtype=np.float64))
+                             for i, c in enumerate(centers)])
 
 
 def oracle_samples(poses, k, cfg):
@@ -104,7 +106,7 @@ class TestAccelerationWorld:
         from tests.test_geometry import random_pose
 
         rng = np.random.default_rng(12)
-        poses = [random_pose(rng, frame_index=i) for i in range(100)]
+        poses = PoseBatch.concat([random_pose(rng, frame_index=i) for i in range(100)])
         check_against_oracle(poses, K, FocusConfig())
 
     def test_circular_arc_matches_closed_form(self):
@@ -141,7 +143,7 @@ class TestAccelerationCamera:
         rng = np.random.default_rng(19)
         from tests.test_geometry import random_pose
 
-        poses = [random_pose(rng, frame_index=i) for i in range(52)]
+        poses = PoseBatch.concat([random_pose(rng, frame_index=i) for i in range(52)])
         block = MotionStream(K, FocusConfig()).push(poses)
         np.testing.assert_allclose(block.magnitude, np.linalg.norm(block.a_world, axis=1),
                                    rtol=1e-12, atol=0)
@@ -527,6 +529,16 @@ class TestFocusConfigValidation:
             FocusConfig(normalize="max")
         with pytest.raises(ConfigError, match="project_negative"):
             FocusConfig(project_negative="drop")
+        # an on/off setting is a bool; a number setting is a finite number, not True
+        for key, value, message in (
+                ("smooth_positions", "no", "must be True or False, got 'no'"),
+                ("smooth_positions", 1, "must be True or False, got 1"),
+                ("sigma_px", True, "must be a finite number, got True"),
+                ("sigma_px", math.inf, "must be a finite number, got inf"),
+                ("eps_z", "a", "must be a finite number, got 'a'")):
+            with pytest.raises(ConfigError, match=f"^{key}: {re.escape(message)}$"):
+                FocusConfig(**{key: value})
+        assert FocusConfig(smooth_positions=np.True_).smooth_positions
 
 
 def arc_poses(frames, omega=0.05, seed=7):
@@ -636,7 +648,7 @@ class TestStreamAgainstOracle:
     @pytest.mark.parametrize("smooth", [False, True])
     def test_empty_and_short_chunks(self, negative, smooth):
         # chunks of 0, 1 and 2 poses at the stream head and mid-stream,
-        # an empty list among them, then the rest and an empty tail
+        # an empty batch among them, then the rest and an empty tail
         spec = ScenarioSpec(kind="head_yaw_divergence", frames=40, seed=4,
                             bob_amplitude=0.002, jitter_amplitude_rad=0.003)
         poses, _ = generate_trajectory(spec)
@@ -647,11 +659,11 @@ class TestStreamAgainstOracle:
         for sizes in ([0, 1, 0, 1, 2, 0, 1, 5, 0, 2, 1], [2, 0, 2, 0, 0, 1, 3, 1],
                       [1, 1, 1, 0, 2, 2, 1, 0], [0, 0, 3, 0, 2, 2]):
             stream = MotionStream(WIDE, cfg)
-            blocks, start = [stream.push([])], 0
+            blocks, start = [stream.push(PoseBatch.concat([]))], 0
             for size in sizes + [len(poses)]:
                 blocks.append(stream.push(poses[start:start + size]))
                 start += size
-                blocks.append(stream.push([]))
+                blocks.append(stream.push(PoseBatch.concat([])))
             blocks.append(stream.push(poses[start:]))
             for block in blocks:
                 if not len(block):
@@ -678,7 +690,7 @@ class TestMotionInvariants:
                     translation=-p.rotation @ c,
                 )
             )
-        return out
+        return PoseBatch.concat(out)
 
     def test_translation_invariance(self):
         poses = arc_poses(80)
@@ -704,7 +716,7 @@ class TestMotionInvariants:
                 )
             )
         a = MotionStream(WIDE, FocusConfig()).push(poses)
-        b = MotionStream(WIDE, FocusConfig()).push(scaled)
+        b = MotionStream(WIDE, FocusConfig()).push(PoseBatch.concat(scaled))
         np.testing.assert_allclose(
             b.magnitude, lam * a.magnitude, rtol=1e-9
         )

@@ -1,6 +1,7 @@
 import dataclasses
 import errno
 import os
+import re
 import tempfile
 import threading
 import tracemalloc
@@ -168,6 +169,15 @@ class TestRunConfig:
             with pytest.raises(ConfigError, match=f"^{key}: must be an integer, got {value!r}$"):
                 RunConfig(**{key: value})
         assert RunConfig(map_scale=np.int64(2), focus_n=np.int32(3), threads=np.uint8(2))
+        # on/off settings are bools, not truthy values; sigma_px is a number
+        for key, value, message in (
+                ("scale_correction", "no", "must be True or False, got 'no'"),
+                ("smooth_positions", "no", "must be True or False, got 'no'"),
+                ("emit_float_maps", 1, "must be True or False, got 1"),
+                ("sigma_px", "a", "must be a finite number, got 'a'")):
+            with pytest.raises(ConfigError, match=f"^{key}: {re.escape(message)}$"):
+                RunConfig(**{key: value})
+        assert RunConfig(scale_correction=np.True_, emit_float_maps=np.False_)
 
 
 class TestResolveThreads:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,15 @@ class TestScenarioSpec:
             ScenarioSpec(kind="brake", frames=10, noise_kind="pink")
         with pytest.raises(ConfigError):
             ScenarioSpec(kind="brake", frames=10, bob_amplitude=-0.1)
+        # each parameter is reported under its own key; floats are finite numbers, not True
+        for key, value, message in (
+                ("bob_amplitude", -0.1, "noise amplitudes must be >= 0"),
+                ("jitter_amplitude_rad", -1.0, "noise amplitudes must be >= 0"),
+                ("speed", "a", "must be a finite number, got 'a'"),
+                ("radius", True, "must be a finite number, got True"),
+                ("omega", 10**400, f"must be a finite number, got {10**400}")):
+            with pytest.raises(ConfigError, match=f"^{key}: {re.escape(message)}$"):
+                ScenarioSpec(**{"kind": "arc", "frames": 10, key: value})
 
 
 class TestConstantVelocity:

@@ -262,7 +262,7 @@ class TestStitchStep:
         second[moved] = pose_with_center(
             second[moved], second[moved].center + np.array([0.1, 0.0, 0.0])
         )
-        state, out = run_plan([batches[0], second], plan)
+        state, out = run_plan([batches[0], PoseBatch.concat(second)], plan)
         res = state.boundary_log[0].residual
         assert res.frames == (8, 9, 10, 11)
         np.testing.assert_allclose(res.center_dist[moved], 0.1, rtol=0, atol=1e-12)
@@ -276,16 +276,12 @@ class TestStitchStep:
         poses = arc_poses(20)
         plan = plan_windows(20, 12, 4)
         batches = split_batches(poses, plan)
-        second = [
-            pose_with_center(p, p.center + np.array([0.0, 0.0, 0.05]))
-            for p in batches[1]
-        ]
         # uniform shift: recovery is exact for either anchor, so differentiate
         # with a non-uniform one: shift grows linearly along the batch
-        second = [
+        second = PoseBatch.concat([
             pose_with_center(p, p.center + np.array([0.01 * i, 0.0, 0.0]))
             for i, p in enumerate(batches[1])
-        ]
+        ])
         state_last, _ = run_plan([batches[0], second], plan, anchor_mode="last")
         state_first, _ = run_plan([batches[0], second], plan, anchor_mode="first")
         res_last = state_last.boundary_log[0].residual
@@ -301,7 +297,7 @@ class TestStitchStep:
         batches = split_batches(poses, plan)
         pitch = 0.05
         d_rot = compose_gravity_ypr(0.0, pitch, 0.0)
-        second = [disturb_world(p, d_rot, np.zeros(3)) for p in batches[1]]
+        second = PoseBatch.concat([disturb_world(p, d_rot, np.zeros(3)) for p in batches[1]])
         state, out = run_plan([batches[0], second], plan)
         event = state.boundary_log[0]
         assert event.correction_ypr.pitch == 0.0
@@ -309,6 +305,20 @@ class TestStitchStep:
         # anchor center continuity is exact even though rotation cannot match
         assert event.residual.center_dist[-1] <= 1e-12
         assert event.residual.rot_angle_rad[-1] == pytest.approx(pitch, rel=1e-6)
+
+    def test_degenerate_correction_pitch_warns_and_pins_the_anchor(self, caplog):
+        # the shared frames differ by a world-side pitch of 90deg, where the
+        # correction's yaw and roll collapse onto each other
+        poses = arc_poses(20)
+        plan = plan_windows(20, 12, 4)
+        batches = split_batches(poses, plan)
+        d_rot = compose_gravity_ypr(0.3, math.pi / 2, 0.0)
+        second = PoseBatch.concat([disturb_world(p, d_rot, np.zeros(3)) for p in batches[1]])
+        with caplog.at_level(logging.WARNING, logger="ego_focus.stitching"):
+            state, out = run_plan([batches[0], second], plan)
+        assert any("correction pitch is degenerate" in r.getMessage() for r in caplog.records)
+        assert len(out) == 20
+        assert state.boundary_log[0].residual.center_dist[-1] <= 1e-12
 
     def test_zero_overlap_warns_once_and_passes_through(self, caplog):
         poses = arc_poses(100)
@@ -326,7 +336,7 @@ class TestStitchStep:
         plan = plan_windows(20, 12, 4)
         batches = split_batches(poses, plan)
         # monocular-style scale drift: second batch's centers shrink by 2x
-        second = [pose_with_center(p, 0.5 * p.center) for p in batches[1]]
+        second = PoseBatch.concat([pose_with_center(p, 0.5 * p.center) for p in batches[1]])
         state, out = run_plan([batches[0], second], plan, scale_correction=True)
         assert state.boundary_log[0].scale == pytest.approx(2.0, rel=1e-9)
         # emitted step lengths return to the truth step length
@@ -343,7 +353,7 @@ class TestStitchStep:
         poses = arc_poses(20)
         plan = plan_windows(20, 12, 4)
         batches = split_batches(poses, plan)
-        second = [pose_with_center(p, 0.5 * p.center) for p in batches[1]]
+        second = PoseBatch.concat([pose_with_center(p, 0.5 * p.center) for p in batches[1]])
         state, _ = run_plan([batches[0], second], plan, scale_correction=False)
         assert state.boundary_log[0].scale == 1.0
 
