@@ -31,7 +31,6 @@ def _add_run_parser(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--focus-n", type=int, help="trailing frames aggregated per map")
     p.add_argument("--sigma-px", type=float, help="kernel sigma in pixels (default: 0.04 * width)")
     p.add_argument("--eps-z", type=float)
-    p.add_argument("--normalize", choices=["peak", "sum"])
     p.add_argument("--project-negative", choices=["skip", "mirror"])
     p.add_argument("--smooth-positions", action="store_true",
                    help="moving-average centers (width 3) before differencing")

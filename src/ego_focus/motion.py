@@ -66,7 +66,6 @@ class FocusConfig:
     n_points: int = DEFAULT_FOCUS_N
     sigma_px: Optional[float] = None
     eps_z: float = DEFAULT_EPS_Z
-    normalize: str = "peak"
     project_negative: str = "skip"
     smooth_positions: bool = False
 
@@ -81,8 +80,6 @@ class FocusConfig:
         require_number("eps_z", self.eps_z)
         if self.eps_z < 0:
             raise ConfigError("eps_z", f"must be >= 0, got {self.eps_z}")
-        if self.normalize not in ("peak", "sum"):
-            raise ConfigError("normalize", f"must be 'peak' or 'sum', got {self.normalize!r}")
         if self.project_negative not in ("skip", "mirror"):
             raise ConfigError(
                 "project_negative", f"must be 'skip' or 'mirror', got {self.project_negative!r}"
@@ -112,8 +109,8 @@ class FocusPoint:
 class FocusMap:
     """Rendered focus map.
 
-    values is (height, width) float64 in [0, 1]; with peak
-    normalization the maximum is 1 whenever contributing_points >= 1.
+    values is (height, width) float64 in [0, 1], divided by its peak:
+    the maximum is 1 whenever contributing_points >= 1.
     contributing_points counts projectable points whose truncated
     kernel actually intersected the image. footprint, the rows and the
     columns of values as two slices, holds every non-zero value, so
@@ -149,16 +146,15 @@ def _gaussians(grid: np.ndarray, centres: np.ndarray, denom: np.ndarray) -> np.n
 
 
 def _render_arrays(us: np.ndarray, vs: np.ndarray, mags: np.ndarray,
-                   width: int, height: int, sigma: float, cfg: FocusConfig,
-                   out: Optional[np.ndarray] = None,
+                   width: int, height: int, sigma: float, out: Optional[np.ndarray] = None,
                    scratch: Optional[np.ndarray] = None) -> FocusMap:
-    """Accumulate truncated separable Gaussian kernels and normalize.
+    """Accumulate truncated separable Gaussian kernels and divide by the peak.
 
     Each kernel is evaluated on the axis-aligned window
     |du|, |dv| <= DEFAULT_TRUNCATION_RADIUS * sigma * s_i and is exactly
     zero outside it; the largest neglected value is exp(-3^2 / 2), about
-    0.011, pre-normalization. Only the map's footprint, the union of
-    the kernel windows, is normalized.
+    0.011, before the division. Only the map's footprint, the union of
+    the kernel windows, is divided.
 
     ``out`` and ``scratch`` are optional writable float64 arrays of
     shape (height, width) that a caller rendering map after map reuses:
@@ -218,7 +214,7 @@ def _render_arrays(us: np.ndarray, vs: np.ndarray, mags: np.ndarray,
         # Outside the footprint every value is 0: it changes neither the
         # peak nor, divided, itself.
         window = acc[footprint]
-        z = float(window.max()) if cfg.normalize == "peak" else float(acc.sum())
+        z = float(window.max())
         if z > 0.0:
             np.divide(window, z, out=window)
     values = acc if out is None else acc.view()
@@ -237,7 +233,7 @@ def render_focus_map(points: Sequence[FocusPoint], k: Intrinsics, cfg: FocusConf
     vs = np.array([p.v for p in proj], dtype=np.float64)
     mags = np.array([p.magnitude for p in proj], dtype=np.float64)
     sigma = cfg.resolved_sigma(k.width)
-    return _render_arrays(us, vs, mags, k.width, k.height, sigma, cfg)
+    return _render_arrays(us, vs, mags, k.width, k.height, sigma)
 
 
 def modulate_depth(depth: np.ndarray, fmap: FocusMap,

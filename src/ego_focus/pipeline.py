@@ -97,7 +97,6 @@ class RunConfig:
     focus_n: int = DEFAULT_FOCUS_N
     sigma_px: Optional[float] = None
     eps_z: float = DEFAULT_EPS_Z
-    normalize: str = "peak"
     project_negative: str = "skip"
     smooth_positions: bool = False
     anchor_mode: str = "last"
@@ -132,7 +131,6 @@ class RunConfig:
             n_points=self.focus_n,
             sigma_px=self.sigma_px,
             eps_z=self.eps_z,
-            normalize=self.normalize,
             project_negative=self.project_negative,
             smooth_positions=self.smooth_positions,
         )
@@ -202,12 +200,11 @@ class _FrameWriter:
     payloads, in the order of the file names paths(frame) gives.
     """
 
-    def __init__(self, out_dir: str, map_k: Intrinsics, sigma: float, cfg: FocusConfig,
+    def __init__(self, out_dir: str, map_k: Intrinsics, sigma: float,
                  emit_float: bool, depth_dir: Optional[str]):
         self.out_dir = out_dir
         self.map_k = map_k
         self.sigma = sigma
-        self.cfg = cfg
         self.emit_float = emit_float
         self.depth_dir = depth_dir
         self._buffers = threading.local()
@@ -230,7 +227,7 @@ class _FrameWriter:
         acc, scratch = getattr(self._buffers, "maps", None) or (np.zeros(shape), np.empty(shape))
         self._buffers.maps = None
         fmap = _render_arrays(us, vs, mags, self.map_k.width, self.map_k.height,
-                              self.sigma, self.cfg, out=acc, scratch=scratch)
+                              self.sigma, out=acc, scratch=scratch)
         payloads = [streams.pgm_bytes(fmap.values, scratch, fmap.footprint)]
         if self.emit_float:
             payloads.append(streams.raw_map_bytes(fmap.values, streams.FOCUS_MAP_MAGIC))
@@ -293,7 +290,7 @@ def run_stream_batches(batches: Iterable[PoseBatch], intrinsics: Intrinsics,
     os.makedirs(out_dir, exist_ok=True)
     fcfg = cfg.focus_config()
     sigma = fcfg.resolved_sigma(intrinsics.width) / cfg.map_scale
-    writer = _FrameWriter(out_dir, map_k, sigma, fcfg, cfg.emit_float_maps, depth_dir)
+    writer = _FrameWriter(out_dir, map_k, sigma, cfg.emit_float_maps, depth_dir)
 
     state = StitchState()
     # The last n_points samples, carried as MotionStream carries its rows:

@@ -222,12 +222,6 @@ class TestRenderFocusMap:
         assert fmap.values[150 + 49, 200] == 0.0
         assert fmap.values[150 + 49, 200 + 49] == 0.0
 
-    def test_sum_normalization(self):
-        cfg = FocusConfig(sigma_px=16.0, normalize="sum")
-        fmap = render_focus_map([point(200.0, 150.0), point(100.0, 80.0, mag=2.0)], K, cfg)
-        assert fmap.values.sum() == pytest.approx(1.0, rel=1e-12)
-        assert fmap.values.max() < 1.0
-
     def test_magnitude_widens_kernel(self):
         # [DERIVED] two far-apart points, magnitudes 1 and 100: the window
         # median is 50.5, so scales clamp to 0.25 and reach 100/50.5
@@ -278,7 +272,7 @@ class TestRenderFocusMap:
         assert FocusConfig(sigma_px=5.0).resolved_sigma(400) == 5.0
 
 
-def oracle_render(us, vs, mags, width, height, sigma, cfg):
+def oracle_render(us, vs, mags, width, height, sigma):
     """The per-kernel loop, one kernel window at a time in point order."""
     acc = np.zeros((height, width))
     contributing = 0
@@ -305,7 +299,7 @@ def oracle_render(us, vs, mags, width, height, sigma, cfg):
             window += col[:, None] * row
             contributing += 1
     if contributing:
-        z = acc.max() if cfg.normalize == "peak" else acc.sum()
+        z = acc.max()
         if z > 0.0:
             acc /= z
     return acc, contributing
@@ -315,18 +309,17 @@ class TestRenderAgainstOracle:
     """_render_arrays equals the per-kernel loop bit for bit."""
 
     @staticmethod
-    def check(us, vs, mags, width, height, sigma, cfg):
+    def check(us, vs, mags, width, height, sigma):
         us, vs, mags = (np.asarray(a, dtype=np.float64) for a in (us, vs, mags))
-        want, n = oracle_render(us, vs, mags, width, height, sigma, cfg)
-        fmap = _render_arrays(us, vs, mags, width, height, sigma, cfg)
+        want, n = oracle_render(us, vs, mags, width, height, sigma)
+        fmap = _render_arrays(us, vs, mags, width, height, sigma)
         assert fmap.contributing_points == n
         np.testing.assert_array_equal(fmap.values, want)
         # again through a caller's all-zero buffer and a scratch holding
         # stale values; zeroing the footprint makes the buffer all zero again
         out = np.zeros((height, width))
         scratch = np.full((height, width), -3.0)
-        reused = _render_arrays(us, vs, mags, width, height, sigma, cfg,
-                                out=out, scratch=scratch)
+        reused = _render_arrays(us, vs, mags, width, height, sigma, out=out, scratch=scratch)
         assert reused.contributing_points == n
         np.testing.assert_array_equal(reused.values, want)
         out[reused.footprint] = 0.0
@@ -334,10 +327,8 @@ class TestRenderAgainstOracle:
         return n
 
     @pytest.mark.parametrize("count", [1, 2, 3, 8, 15])
-    @pytest.mark.parametrize("normalize", ["peak", "sum"])
-    def test_random_windows(self, count, normalize):
+    def test_random_windows(self, count):
         rng = np.random.default_rng(count)
-        cfg = FocusConfig(normalize=normalize)
         for width, height in ((80, 60), (97, 41)):
             for _ in range(20):
                 # centres spread well past the edges: kernels land on the
@@ -345,7 +336,7 @@ class TestRenderAgainstOracle:
                 us = rng.uniform(-0.5 * width, 1.5 * width, count)
                 vs = rng.uniform(-0.5 * height, 1.5 * height, count)
                 mags = rng.lognormal(0.0, 1.5, count)
-                self.check(us, vs, mags, width, height, 0.04 * width, cfg)
+                self.check(us, vs, mags, width, height, 0.04 * width)
 
     def test_several_row_bands(self):
         # 2 MiB bands of 1000-pixel rows hold 262 rows: three bands here
@@ -353,45 +344,37 @@ class TestRenderAgainstOracle:
         us = rng.uniform(-100, 1100, 12)
         vs = rng.uniform(-100, 700, 12)
         mags = rng.lognormal(0.0, 1.0, 12)
-        assert self.check(us, vs, mags, 1000, 600, 40.0, FocusConfig()) > 1
+        assert self.check(us, vs, mags, 1000, 600, 40.0) > 1
 
     def test_far_off_centres(self):
-        cfg = FocusConfig()
         us = [1e300, -1e300, 40.0, 40.0, 1e300]
         vs = [30.0, 30.0, 1e300, -1e300, -1e300]
-        assert self.check(us, vs, [1.0] * 5, 80, 60, 3.2, cfg) == 0
-        assert self.check(us + [41.5], vs + [29.25], [1.0] * 6, 80, 60, 3.2, cfg) == 1
-        assert self.check([1e300, 40.0], [30.0, 30.0], [1.0, 1.0], 80, 60, 3.2,
-                          FocusConfig(normalize="sum")) == 1
+        assert self.check(us, vs, [1.0] * 5, 80, 60, 3.2) == 0
+        assert self.check(us + [41.5], vs + [29.25], [1.0] * 6, 80, 60, 3.2) == 1
 
     def test_wholly_off_image(self):
-        assert self.check([-50.0, 200.0], [30.0, 30.0], [1.0, 2.0], 80, 60, 3.2,
-                          FocusConfig()) == 0
+        assert self.check([-50.0, 200.0], [30.0, 30.0], [1.0, 2.0], 80, 60, 3.2) == 0
 
-    @pytest.mark.parametrize("normalize", ["peak", "sum"])
-    def test_one_pixel_map(self, normalize):
-        cfg = FocusConfig(normalize=normalize)
-        assert self.check([0.0], [0.0], [1.0], 1, 1, 0.04, cfg) == 1
-        assert self.check([0.3, -0.2], [0.4, 0.1], [1.0, 3.0], 1, 1, 0.5, cfg) == 2
-        assert self.check([2.0], [0.0], [1.0], 1, 1, 0.04, cfg) == 0
+    def test_one_pixel_map(self):
+        assert self.check([0.0], [0.0], [1.0], 1, 1, 0.04) == 1
+        assert self.check([0.3, -0.2], [0.4, 0.1], [1.0, 3.0], 1, 1, 0.5) == 2
+        assert self.check([2.0], [0.0], [1.0], 1, 1, 0.04) == 0
 
     def test_no_points(self):
-        assert self.check([], [], [], 80, 60, 3.2, FocusConfig()) == 0
+        assert self.check([], [], [], 80, 60, 3.2) == 0
 
     def test_partly_off_image(self):
         # one kernel over each edge and corner, one inside
         us = [-4.0, 83.0, 40.0, 40.0, -3.0, 82.5, 40.0]
         vs = [30.0, 30.0, -4.0, 62.0, -2.5, 63.0, 30.0]
-        for normalize in ("peak", "sum"):
-            assert self.check(us, vs, [1.0, 2.0, 0.5, 1.0, 3.0, 1.0, 1.5], 80, 60, 3.2,
-                              FocusConfig(normalize=normalize)) == 7
+        assert self.check(us, vs, [1.0, 2.0, 0.5, 1.0, 3.0, 1.0, 1.5], 80, 60, 3.2) == 7
 
     def test_infinite_and_nan_centres(self):
         inf, nan = math.inf, math.nan
         us = [inf, -inf, nan, 40.0, 40.0, 40.0, 20.5]
         vs = [30.0, 30.0, 30.0, inf, -inf, nan, 10.25]
-        assert self.check(us, vs, [1.0] * 7, 80, 60, 3.2, FocusConfig()) == 1
-        assert self.check(us[:6], vs[:6], [1.0] * 6, 80, 60, 3.2, FocusConfig()) == 0
+        assert self.check(us, vs, [1.0] * 7, 80, 60, 3.2) == 1
+        assert self.check(us[:6], vs[:6], [1.0] * 6, 80, 60, 3.2) == 0
 
     @staticmethod
     def expected_pgm(values):
@@ -410,22 +393,20 @@ class TestRenderAgainstOracle:
             yield [u, u + 1.5], [v, v - 0.5], [0.05, 0.06]
             yield [-50.0 * width], [v], [1.0]
 
-    @pytest.mark.parametrize("normalize", ["peak", "sum"])
     @pytest.mark.parametrize("size", [(80, 60), (1000, 600), (1, 1)])
-    def test_map_sequence_through_reused_buffers(self, normalize, size):
+    def test_map_sequence_through_reused_buffers(self, size):
         """After each map only its footprint is zeroed, as _FrameWriter does;
         every map, and its footprint PGM, equals the oracle's."""
         width, height = size
-        cfg, sigma = FocusConfig(normalize=normalize), max(0.04 * width, 0.5)
+        sigma = max(0.04 * width, 0.5)
         rng = np.random.default_rng(width)
         out, scratch = np.zeros((height, width)), np.full((height, width), -3.0)
         kinds = set()
         windows = self.footprint_windows(rng, width, height)
         for _ in range(6 if width == 1000 else 12):
             us, vs, mags = (np.asarray(a, dtype=np.float64) for a in next(windows))
-            want, n = oracle_render(us, vs, mags, width, height, sigma, cfg)
-            fmap = _render_arrays(us, vs, mags, width, height, sigma, cfg,
-                                  out=out, scratch=scratch)
+            want, n = oracle_render(us, vs, mags, width, height, sigma)
+            fmap = _render_arrays(us, vs, mags, width, height, sigma, out=out, scratch=scratch)
             assert fmap.contributing_points == n
             np.testing.assert_array_equal(fmap.values, want)
             assert pgm_bytes(fmap.values, scratch, fmap.footprint) == self.expected_pgm(want)
@@ -436,7 +417,7 @@ class TestRenderAgainstOracle:
         assert kinds >= ({"empty", "large"} if width == 1 else {"empty", "small", "large"})
 
     def test_render_that_raises_leaves_the_buffer_cleared_whole_next(self, monkeypatch):
-        width, height, cfg = 80, 60, FocusConfig()
+        width, height = 80, 60
         rng = np.random.default_rng(3)
         # a small footprint top left, one over the whole map, one bottom right
         windows = [(np.array([u]), np.array([v]), np.ones(1))
@@ -445,7 +426,7 @@ class TestRenderAgainstOracle:
                            rng.lognormal(0.0, 1.0, 12)))
         k = Intrinsics(fx=10.0, fy=10.0, cx=40.0, cy=30.0, width=width, height=height)
         # the .mfm sidecar encodes the whole map, not only its footprint
-        writer = _FrameWriter("out", k, 3.2, cfg, True, None)
+        writer = _FrameWriter("out", k, 3.2, True, None)
         writer(2, *windows[0])
         real_add, calls = np.add, []
 
@@ -462,7 +443,7 @@ class TestRenderAgainstOracle:
         # the failed render's additions reach past the first footprint; the
         # writer drops the buffer they are in, and the next call on this
         # thread renders into a fresh all-zero one
-        want, n = oracle_render(*windows[2], width, height, 3.2, cfg)
+        want, n = oracle_render(*windows[2], width, height, 3.2)
         contributing, payloads = writer(4, *windows[2])
         assert contributing == n
         assert payloads == [self.expected_pgm(want), raw_map_bytes(want, FOCUS_MAP_MAGIC)]
@@ -471,7 +452,7 @@ class TestRenderAgainstOracle:
         rng = np.random.default_rng(11)
         for _ in range(20):
             us, vs = rng.uniform(-40, 120, 6), rng.uniform(-30, 90, 6)
-            fmap = _render_arrays(us, vs, rng.lognormal(0.0, 1.0, 6), 80, 60, 3.2, FocusConfig())
+            fmap = _render_arrays(us, vs, rng.lognormal(0.0, 1.0, 6), 80, 60, 3.2)
             outside = fmap.values.copy()
             outside[fmap.footprint] = 0.0
             assert not outside.any()
@@ -525,8 +506,6 @@ class TestFocusConfigValidation:
             FocusConfig(sigma_px=0.0)
         with pytest.raises(ConfigError, match="eps_z"):
             FocusConfig(eps_z=-1.0)
-        with pytest.raises(ConfigError, match="normalize"):
-            FocusConfig(normalize="max")
         with pytest.raises(ConfigError, match="project_negative"):
             FocusConfig(project_negative="drop")
         # an on/off setting is a bool; a number setting is a finite number, not True

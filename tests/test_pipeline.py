@@ -158,8 +158,6 @@ class TestRunConfig:
             RunConfig(map_scale=0)
         with pytest.raises(ConfigError):
             RunConfig(anchor_mode="middle")
-        with pytest.raises(ConfigError):
-            RunConfig(normalize="max")
         with pytest.raises(Exception):
             RunConfig(window_size=10, overlap=10)
         # counts and sizes are integers, 2.0 and True included
@@ -401,7 +399,7 @@ class TestOutputWrites:
 
     def test_zero_maps_encode_to_zero_bytes(self):
         k = Intrinsics(fx=10.0, fy=10.0, cx=40.0, cy=30.0, width=80, height=60)
-        writer = _FrameWriter("out", k, 3.2, FocusConfig(), False, None)
+        writer = _FrameWriter("out", k, 3.2, False, None)
         zero_pgm = streams.pgm_bytes(np.zeros((60, 80)))
         empty = np.empty(0)
         contributing, payloads = writer(7, empty, empty, empty)
@@ -417,8 +415,8 @@ class TestOutputWrites:
     def test_render_that_raises_does_not_leak_into_the_next_map(self, monkeypatch):
         k = Intrinsics(fx=10.0, fy=10.0, cx=40.0, cy=30.0, width=80, height=60)
         # the .mfm sidecar encodes the whole map, not only its footprint
-        writer = _FrameWriter("out", k, 3.2, FocusConfig(), True, None)
-        fresh = _FrameWriter("out", k, 3.2, FocusConfig(), True, None)
+        writer = _FrameWriter("out", k, 3.2, True, None)
+        fresh = _FrameWriter("out", k, 3.2, True, None)
         rng = np.random.default_rng(4)
         spread = (rng.uniform(0, 80, 12), rng.uniform(0, 60, 12), rng.lognormal(0.0, 1.0, 12))
         corner = (np.array([8.0]), np.array([6.0]), np.ones(1))
