@@ -348,6 +348,10 @@ class TestStitchStep:
             np.diff(np.stack([p.center for p in poses[12:]]), axis=0), axis=1
         )
         np.testing.assert_allclose(steps, truth_steps, rtol=1e-9)
+        # the anchor, the last shared frame, keeps its emitted centre, so the
+        # whole second batch lands on the truth
+        assert state.boundary_log[0].residual.center_dist[-1] <= 1e-12
+        np.testing.assert_allclose(emitted.centers, poses[12:].centers, rtol=0, atol=1e-12)
 
     def test_scale_defaults_to_one_when_disabled(self):
         poses = arc_poses(20)
