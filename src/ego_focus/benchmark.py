@@ -26,6 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import ConfigError
 from .geometry import Intrinsics, PoseBatch
 from .motion import FocusConfig, FocusPoint, render_focus_map
 from .pipeline import RunConfig, _stitched_blocks, iter_windows
@@ -101,14 +102,8 @@ def _render_points(k: Intrinsics, n_points: int, shift: float = 0.0) -> list[Foc
     return points
 
 
-def _render_row(resolution: tuple[int, int], n_maps: int, n_points: int) -> dict:
-    w, h = resolution
-    k = Intrinsics(fx=0.6 * w, fy=0.6 * w, cx=w / 2.0, cy=h / 2.0, width=w, height=h)
+def _render_row(k: Intrinsics, n_maps: int, n_points: int) -> dict:
     cfg = FocusConfig()
-
-    warm = render_focus_map(_render_points(k, n_points), k, cfg)
-    assert warm.contributing_points == n_points
-
     t0 = time.perf_counter()
     for i in range(n_maps):
         render_focus_map(_render_points(k, n_points, shift=0.37 * i), k, cfg)
@@ -122,7 +117,7 @@ def _render_row(resolution: tuple[int, int], n_maps: int, n_points: int) -> dict
 
     return {
         "stage": "render",
-        "resolution": f"{w}x{h}",
+        "resolution": f"{k.width}x{k.height}",
         "throughput": n_maps / dt if dt > 0 else float("inf"),
         "peak_mem_bytes": peak,
     }
@@ -132,7 +127,16 @@ def bench(stream_sizes: Sequence[int] = DEFAULT_STREAM_SIZES,
           resolutions: Sequence[tuple[int, int]] = DEFAULT_RESOLUTIONS,
           maps_per_resolution: int = 40,
           points_per_map: int = 15) -> list[dict]:
-    """Run all probes, pose math at the default RunConfig; returns rows for the bench CSV."""
+    """Run all probes, pose math at the default RunConfig; returns rows for the bench CSV.
+
+    A resolution the render probe's kernels miss raises ConfigError before any probe runs."""
+    sizes = [Intrinsics(fx=0.6 * w, fy=0.6 * w, cx=w / 2.0, cy=h / 2.0, width=w, height=h)
+             for w, h in resolutions]
+    for k in sizes:  # also the render probe's warm-up
+        fmap = render_focus_map(_render_points(k, points_per_map), k, FocusConfig())
+        if fmap.contributing_points < points_per_map:
+            raise ConfigError("resolutions", f"{k.width}x{k.height}: the {points_per_map} probe "
+                                             "kernels do not all reach a pixel centre")
     rows = [_math_row(size, RunConfig()) for size in stream_sizes]
-    rows += [_render_row(res, maps_per_resolution, points_per_map) for res in resolutions]
+    rows += [_render_row(k, maps_per_resolution, points_per_map) for k in sizes]
     return rows

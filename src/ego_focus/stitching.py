@@ -266,9 +266,8 @@ def stitch_step(state: StitchState, batch: PoseBatch, plan: WindowPlan,
         tail = state.tail
         tail_centers = tail.centers
         local_centers = batch[:overlap].centers
-        # The anchor centre is taken at the estimated scale, the scale at
-        # which _apply_correction places it, so it lands on the emitted one.
         scale = _estimate_scale(tail_centers, local_centers) if scale_correction else 1.0
+        # The anchor centre at the scale _apply_correction gives it, so it lands exactly.
         correction = anchor_correction(batch.first_frame + a, tail.rotations[a], tail_centers[a],
                                        batch.rotations[a], scale * local_centers[a])
         corrected = _apply_correction(batch, correction, scale)

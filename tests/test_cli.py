@@ -7,7 +7,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from ego_focus import cli, pipeline
+from ego_focus import benchmark, cli, pipeline
 from ego_focus.cli import build_parser, main
 from ego_focus.pipeline import RunSummary
 from ego_focus.streams import (
@@ -561,6 +561,20 @@ class TestBench:
         ])
         assert rc == 0
         assert capsys.readouterr().out.startswith("stage,resolution,")
+
+    @pytest.mark.parametrize("resolution,points", [
+        ("4x4", "4"), ("2x2", "4"), ("8x1", "4"), ("1x1", "1"),
+    ])
+    def test_resolution_the_probe_kernels_miss_fails_before_any_probe(
+            self, capsys, monkeypatch, resolution, points):
+        # the render probe's kernels must all reach a pixel centre
+        monkeypatch.setattr(benchmark, "_math_row", lambda *a: pytest.fail("a probe ran"))
+        rc = main(["bench", "--stream-sizes", "1500", "--resolutions", f"32x24,{resolution}",
+                   "--maps", "2", "--points", points])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: resolutions: {resolution}: ")
 
 
 class TestParser:

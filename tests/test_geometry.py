@@ -312,7 +312,7 @@ class TestGravityYpr:
         ypr = _gravity_ypr(m)
         assert -math.pi < ypr.yaw <= math.pi
 
-    def test_gimbal_lock_raises_with_fallback_yaw(self):
+    def test_gimbal_lock_returns_roll_zero_factorization(self):
         # pitch at +90deg collapses yaw/roll into one degree of freedom
         m = compose_gravity_ypr(0.4, math.pi / 2, 0.0)
         ypr = _gravity_ypr(m)
@@ -320,7 +320,7 @@ class TestGravityYpr:
         assert ypr.yaw == pytest.approx(0.4, abs=1e-9)
         assert ypr.pitch == math.pi / 2
 
-    def test_near_gimbal_inside_tolerance_raises(self):
+    def test_near_gimbal_inside_tolerance_snaps_to_gimbal_lock(self):
         m = compose_gravity_ypr(0.0, math.pi / 2 - 1e-8, 0.0)
         assert _gravity_ypr(m) == GravityYpr(0.0, math.pi / 2, 0.0)
 
