@@ -431,18 +431,16 @@ class Intrinsics:
         )
 
 
-def project_pinhole_many(vs: np.ndarray, k: Intrinsics, eps_z: float = DEFAULT_EPS_Z,
-                         allow_negative: bool = False):
+def project_pinhole_many(vs: np.ndarray, k: Intrinsics):
     """Project camera-frame vectors (n, 3) to pixel coordinates.
 
     Row i maps to (cx + fx * (x / z), cy + fy * (y / z)), not clipped to
-    the image bounds. A row projects when z > eps_z, or with
-    allow_negative when |z| > eps_z. Returns (uv, valid): uv is (n, 2)
-    with NaN rows where valid is False.
+    the image bounds. A row projects only when z > DEFAULT_EPS_Z. Returns
+    (uv, valid): uv is (n, 2) with NaN rows where valid is False.
     """
     v = np.asarray(vs, dtype=np.float64).reshape(-1, 3)
     vz = v[:, 2:]
-    valid = (np.abs(vz) > eps_z) if allow_negative else (vz > eps_z)
+    valid = vz > DEFAULT_EPS_Z
     # Divide only the valid rows; the others stay NaN through the affine step.
     uv = np.full((v.shape[0], 2), np.nan)
     np.divide(v[:, :2], vz, out=uv, where=valid)

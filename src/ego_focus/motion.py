@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import (
-    DEFAULT_EPS_Z,
     Intrinsics,
     PoseBatch,
     project_pinhole_many,
@@ -58,15 +57,11 @@ class FocusConfig:
 
     n_points is a run's trailing-window length: the samples per map.
     sigma_px = None resolves to SIGMA_WIDTH_FRACTION * image width at
-    render time. project_negative chooses what happens to samples whose
-    camera-frame acceleration points backward: "skip" drops them,
-    "mirror" projects through the principal point instead.
+    render time.
     """
 
     n_points: int = DEFAULT_FOCUS_N
     sigma_px: Optional[float] = None
-    eps_z: float = DEFAULT_EPS_Z
-    project_negative: str = "skip"
     smooth_positions: bool = False
 
     def __post_init__(self):
@@ -77,13 +72,6 @@ class FocusConfig:
             require_number("sigma_px", self.sigma_px)
             if self.sigma_px <= 0:
                 raise ConfigError("sigma_px", f"must be > 0, got {self.sigma_px}")
-        require_number("eps_z", self.eps_z)
-        if self.eps_z < 0:
-            raise ConfigError("eps_z", f"must be >= 0, got {self.eps_z}")
-        if self.project_negative not in ("skip", "mirror"):
-            raise ConfigError(
-                "project_negative", f"must be 'skip' or 'mirror', got {self.project_negative!r}"
-            )
         require_bool("smooth_positions", self.smooth_positions)
 
     def resolved_sigma(self, width: int) -> float:
@@ -168,7 +156,7 @@ def _render_arrays(us: np.ndarray, vs: np.ndarray, mags: np.ndarray,
     if len(us):
         # Window bounds of every kernel, clipped to the image, in Python
         # floats. The float comparisons come first, so a far-off centre
-        # (|u| near 1e300 when a_z is close to eps_z), an infinite or a NaN
+        # (|u| near 1e300 when a_z is close to DEFAULT_EPS_Z), an infinite or a NaN
         # one is dropped before any int cast.
         median = max(window_median(mags), _MEDIAN_GUARD)
         s_lo, s_hi = DEFAULT_S_CLAMP
@@ -236,18 +224,12 @@ def render_focus_map(points: Sequence[FocusPoint], k: Intrinsics, cfg: FocusConf
     return _render_arrays(us, vs, mags, k.width, k.height, sigma)
 
 
-def modulate_depth(depth: np.ndarray, fmap: FocusMap,
-                   alpha: float = DEFAULT_DEPTH_ALPHA) -> np.ndarray:
-    """Attenuate depth by focus: out = depth * (alpha + (1 - alpha) * M).
-
-    alpha is the floor kept in unfocused regions; 1 returns the input.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError("depth_alpha", f"must be in [0, 1], got {alpha}")
+def modulate_depth(depth: np.ndarray, fmap: FocusMap) -> np.ndarray:
+    """Attenuate by focus: depth * (DEFAULT_DEPTH_ALPHA + (1 - DEFAULT_DEPTH_ALPHA) * M)."""
     d = np.asarray(depth, dtype=np.float64)
     if d.shape != fmap.values.shape:
         raise ValueError(f"depth shape {d.shape} does not match map {fmap.values.shape}")
-    return d * (alpha + (1.0 - alpha) * fmap.values)
+    return d * (DEFAULT_DEPTH_ALPHA + (1.0 - DEFAULT_DEPTH_ALPHA) * fmap.values)
 
 
 @dataclass(slots=True)
@@ -323,9 +305,6 @@ class MotionStream:
         frames = np.arange(batch.first_frame + skip, batch.end_frame, dtype=np.int64)
         a_c = np.einsum("nij,nj->ni", batch.rotations[skip:], a_w)
         mag = np.linalg.norm(a_c, axis=1)
-        uv, valid = project_pinhole_many(
-            a_c, self.k, eps_z=self.cfg.eps_z,
-            allow_negative=(self.cfg.project_negative == "mirror"),
-        )
+        uv, valid = project_pinhole_many(a_c, self.k)
         self._seq = seq[-2:].copy()
         return MotionBlock(frames, a_w, a_c, mag, uv, valid)

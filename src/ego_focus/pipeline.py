@@ -41,7 +41,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .errors import ConfigError, StreamFormatError
-from .geometry import DEFAULT_EPS_Z, Intrinsics, PoseBatch, require_bool, require_integer
+from .geometry import Intrinsics, PoseBatch, require_bool, require_integer
 from .motion import (
     DEFAULT_FOCUS_N,
     FocusConfig,
@@ -96,8 +96,6 @@ class RunConfig:
     overlap: int = DEFAULT_OVERLAP
     focus_n: int = DEFAULT_FOCUS_N
     sigma_px: Optional[float] = None
-    eps_z: float = DEFAULT_EPS_Z
-    project_negative: str = "skip"
     smooth_positions: bool = False
     anchor_mode: str = "last"
     scale_correction: bool = False
@@ -127,13 +125,8 @@ class RunConfig:
         return WindowPlan(self.window_size, self.overlap)
 
     def focus_config(self) -> FocusConfig:
-        return FocusConfig(
-            n_points=self.focus_n,
-            sigma_px=self.sigma_px,
-            eps_z=self.eps_z,
-            project_negative=self.project_negative,
-            smooth_positions=self.smooth_positions,
-        )
+        return FocusConfig(n_points=self.focus_n, sigma_px=self.sigma_px,
+                           smooth_positions=self.smooth_positions)
 
 
 @dataclass(slots=True)

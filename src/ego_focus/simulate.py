@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, PlanError
 from .geometry import (
+    DEFAULT_EPS_Z,
     CameraPose,
     Intrinsics,
     PoseBatch,
@@ -32,7 +33,6 @@ from .geometry import (
     require_number,
     rotation_about_gravity,
 )
-from .motion import FocusConfig
 
 SCENARIOS = (
     "constant_velocity",
@@ -291,8 +291,7 @@ def iter_trajectory(spec: ScenarioSpec, chunk_size: int = 512
         yield _poses_for_range(spec, noise, start, min(start + chunk_size, spec.frames))
 
 
-def oracle_focus_point(a_world: np.ndarray, pose: CameraPose, k: Intrinsics,
-                       cfg: Optional[FocusConfig] = None):
+def oracle_focus_point(a_world: np.ndarray, pose: CameraPose, k: Intrinsics):
     """Project a ground-truth world acceleration through a pose.
 
     Rotation-multiply, then dehomogenisation of K @ a_c through the
@@ -300,13 +299,10 @@ def oracle_focus_point(a_world: np.ndarray, pose: CameraPose, k: Intrinsics,
     pipeline's second difference at frame t is centered on frame t-1,
     so to predict its output pass the truth acceleration of frame t-1
     together with the pose of frame t. Returns (u, v), or None when the
-    depth a_c[2] is at most cfg.eps_z (with project_negative="mirror",
-    when |a_c[2]| is).
+    depth a_c[2] is at most DEFAULT_EPS_Z.
     """
-    cfg = cfg or FocusConfig()
     a_c = pose.rotation @ np.asarray(a_world, dtype=np.float64).reshape(3)
-    depth = abs(a_c[2]) if cfg.project_negative == "mirror" else a_c[2]
-    if depth <= cfg.eps_z:
+    if a_c[2] <= DEFAULT_EPS_Z:
         return None
     h = k.K @ a_c
     return float(h[0] / h[2]), float(h[1] / h[2])

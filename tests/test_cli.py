@@ -396,7 +396,7 @@ class TestRun:
         assert (out_dir / "focus_000054.pgm").exists()
 
     @pytest.mark.parametrize("flag,value", [
-        ("--eps-z", "nan"), ("--eps-z", "inf"), ("--sigma-px", "inf"), ("--sigma-px", "nan"),
+        ("--sigma-px", "inf"), ("--sigma-px", "nan"),
     ])
     def test_non_finite_focus_knob_fails_cleanly(self, tmp_path, capsys, flag, value):
         poses = sim(tmp_path)
@@ -410,17 +410,21 @@ class TestRun:
         assert capsys.readouterr().err.startswith(f"error: {flag[2:].replace('-', '_')}: ")
         assert not (tmp_path / "o").exists()
 
-    def test_normalize_is_not_an_option(self, tmp_path, capsys):
-        # a map is always divided by its peak; a distribution is an .mfm map
-        # divided by its sum
+    @pytest.mark.parametrize("flag,value", [
+        ("--normalize", "sum"), ("--eps-z", "1e-3"), ("--project-negative", "mirror"),
+    ])
+    def test_normalize_is_not_an_option(self, tmp_path, capsys, flag, value):
+        # a map is always divided by its peak (a distribution is an .mfm map
+        # divided by its sum), and a sample projects only when its depth
+        # exceeds DEFAULT_EPS_Z
         poses = sim(tmp_path)
         k_path = tmp_path / "k.json"
         write_intrinsics(WIDE, k_path)
         with pytest.raises(SystemExit) as exc_info:
             main(["run", "--poses", str(poses), "--intrinsics", str(k_path),
-                  "--out-dir", str(tmp_path / "o"), "--normalize", "sum"])
+                  "--out-dir", str(tmp_path / "o"), flag, value])
         assert exc_info.value.code == 2
-        assert "unrecognized arguments: --normalize sum" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_thread_count_beyond_the_bound_fails_cleanly(self, tmp_path, capsys):
@@ -581,17 +585,16 @@ class TestParser:
     def test_configuration_surface_is_pinned(self):
         # A change that adds or drops a setting has to change these lists on purpose.
         assert [f.name for f in dataclasses.fields(RunConfig)] == [
-            "window_size", "overlap", "focus_n", "sigma_px", "eps_z", "project_negative",
-            "smooth_positions", "anchor_mode", "scale_correction", "map_scale",
-            "emit_float_maps", "threads"]
+            "window_size", "overlap", "focus_n", "sigma_px", "smooth_positions",
+            "anchor_mode", "scale_correction", "map_scale", "emit_float_maps", "threads"]
         assert [f.name for f in dataclasses.fields(FocusConfig)] == [
-            "n_points", "sigma_px", "eps_z", "project_negative", "smooth_positions"]
+            "n_points", "sigma_px", "smooth_positions"]
         sub = next(a for a in build_parser()._actions if a.dest == "command")
         assert [a.option_strings[-1] for a in sub.choices["run"]._actions] == [
             "--help", "--poses", "--intrinsics", "--out-dir", "--window-size", "--overlap",
-            "--focus-n", "--sigma-px", "--eps-z", "--project-negative",
-            "--smooth-positions", "--anchor-mode", "--scale-correction", "--residuals",
-            "--map-scale", "--depth-dir", "--emit-float-maps", "--threads"]
+            "--focus-n", "--sigma-px", "--smooth-positions", "--anchor-mode",
+            "--scale-correction", "--residuals", "--map-scale", "--depth-dir",
+            "--emit-float-maps", "--threads"]
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc_info:

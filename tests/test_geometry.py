@@ -427,9 +427,9 @@ class TestIntrinsics:
 class TestProjection:
     K = Intrinsics(fx=600.0, fy=600.0, cx=480.0, cy=270.0, width=960, height=540)
 
-    def project(self, v, **kwargs):
+    def project(self, v):
         """(u, v) of one vector, or None when it does not project."""
-        uv, valid = project_pinhole_many(np.asarray(v, dtype=np.float64)[None], self.K, **kwargs)
+        uv, valid = project_pinhole_many(np.asarray(v, dtype=np.float64)[None], self.K)
         return (uv[0, 0], uv[0, 1]) if valid[0] else None
 
     def test_worked_example(self):
@@ -458,12 +458,8 @@ class TestProjection:
         assert self.project([0.1, 0.1, 0.0]) is None
         assert self.project([0.1, 0.1, -0.5]) is None
 
-    def test_negative_depth_allowed_when_requested(self):
-        uv = self.project([0.2, -0.1, -0.5], allow_negative=True)
-        assert uv == (480.0 + 600.0 * 0.2 / -0.5, 270.0 + 600.0 * -0.1 / -0.5)
-
     def test_vectorized_matches_scalar_bitwise(self):
-        # row by row in Python floats: cx + fx * (x / z), kept when z > eps_z
+        # row by row in Python floats: cx + fx * (x / z), kept when z > DEFAULT_EPS_Z
         rng = np.random.default_rng(33)
         vs = rng.uniform(-1.0, 1.0, size=(200, 3))
         vs[::3, 2] = -vs[::3, 2]  # mix of signs, some rejected
@@ -475,9 +471,3 @@ class TestProjection:
             else:
                 assert valid[i]
                 assert (uv[i, 0], uv[i, 1]) == (480.0 + 600.0 * (x / z), 270.0 + 600.0 * (y / z))
-
-    def test_vectorized_mirror_mode(self):
-        vs = np.array([[0.2, -0.1, 0.5], [0.2, -0.1, -0.5], [0.1, 0.1, 0.0]])
-        uv, valid = project_pinhole_many(vs, self.K, allow_negative=True)
-        assert valid.tolist() == [True, True, False]
-        assert uv[1, 0] == 480.0 + 600.0 * 0.2 / -0.5

@@ -18,6 +18,7 @@ from ego_focus import (
     render_focus_map,
     rotation_about_gravity,
 )
+from ego_focus.geometry import DEFAULT_EPS_Z
 from ego_focus.motion import (
     DEFAULT_S_CLAMP,
     DEFAULT_TRUNCATION_RADIUS,
@@ -59,7 +60,7 @@ def oracle_samples(poses, k, cfg):
         a_w = (c[t] - c[t - 1]) - (c[t - 1] - c[t - 2])
         a_c = poses[t].rotation @ a_w
         x, y, z = a_c.tolist()
-        ok = (abs(z) if cfg.project_negative == "mirror" else z) > cfg.eps_z
+        ok = z > DEFAULT_EPS_Z
         uv = (k.cx + k.fx * (x / z), k.cy + k.fy * (y / z)) if ok else None
         rows.append((poses[t].frame_index, a_w, a_c, math.sqrt(x * x + y * y + z * z), uv))
     return rows
@@ -150,12 +151,10 @@ class TestAccelerationCamera:
 
 
 class TestFocusPoint:
-    CFG = FocusConfig()
-
     @staticmethod
-    def point(a_c, k=K, cfg=CFG):
+    def point(a_c, k=K):
         """The focus point of one sample whose camera-frame acceleration is a_c."""
-        block = MotionStream(k, cfg).push(poses_at([np.zeros(3), np.zeros(3), a_c]))
+        block = MotionStream(k, FocusConfig()).push(poses_at([np.zeros(3), np.zeros(3), a_c]))
         return block.focus_points()[0]
 
     def test_straight_ahead_hits_principal_point(self):
@@ -174,18 +173,6 @@ class TestFocusPoint:
         k = Intrinsics(fx=600.0, fy=600.0, cx=480.0, cy=270.0, width=960, height=540)
         fp = self.point([0.2, -0.1, 0.5], k)
         assert (fp.u, fp.v) == (720.0, 150.0)
-
-    def test_mirror_mode_projects_through_principal_point(self):
-        cfg = FocusConfig(project_negative="mirror")
-        fp = self.point([0.2, -0.1, -0.5], cfg=cfg)
-        assert fp.projectable
-        assert fp.u == 200.0 + 500.0 * 0.2 / -0.5
-        assert fp.v == 150.0 + 500.0 * -0.1 / -0.5
-
-    def test_mirror_mode_still_rejects_tiny_depth(self):
-        cfg = FocusConfig(project_negative="mirror")
-        fp = self.point([0.2, -0.1, 1e-9], cfg=cfg)
-        assert not fp.projectable
 
 
 class TestRenderFocusMap:
@@ -465,7 +452,7 @@ class TestModulateDepth:
         ones.flags.writeable = False
         fmap = FocusMap(values=ones, contributing_points=1)
         depth = np.full((300, 400), 7.0)
-        np.testing.assert_array_equal(modulate_depth(depth, fmap, alpha=0.15), depth)
+        np.testing.assert_array_equal(modulate_depth(depth, fmap), depth)
 
     def test_zero_focus_keeps_alpha_floor(self):
         zeros = np.zeros((300, 400))
@@ -473,13 +460,13 @@ class TestModulateDepth:
         fmap = FocusMap(values=zeros, contributing_points=0)
         depth = np.full((300, 400), 10.0)
         np.testing.assert_allclose(
-            modulate_depth(depth, fmap, alpha=0.15), np.full((300, 400), 1.5),
+            modulate_depth(depth, fmap), np.full((300, 400), 1.5),
             rtol=0, atol=1e-15,
         )
 
     def test_single_kernel_worked_example(self):
         fmap = render_focus_map([point(200.0, 150.0)], K, FocusConfig(sigma_px=16.0))
-        out = modulate_depth(np.full((300, 400), 10.0), fmap, alpha=0.15)
+        out = modulate_depth(np.full((300, 400), 10.0), fmap)
         assert out[150, 200] == pytest.approx(10.0, rel=1e-12)
         assert out[0, 0] == pytest.approx(1.5, rel=1e-12)
 
@@ -487,11 +474,6 @@ class TestModulateDepth:
         fmap = render_focus_map([point(200.0, 150.0)], K, FocusConfig())
         with pytest.raises(ValueError):
             modulate_depth(np.zeros((10, 10)), fmap)
-
-    def test_alpha_out_of_range_rejected(self):
-        fmap = render_focus_map([], K, FocusConfig())
-        with pytest.raises(ConfigError):
-            modulate_depth(np.zeros((300, 400)), fmap, alpha=1.5)
 
 
 class TestFocusConfigValidation:
@@ -504,17 +486,12 @@ class TestFocusConfigValidation:
         assert FocusConfig(n_points=np.int32(3)).n_points == 3
         with pytest.raises(ConfigError, match="sigma_px"):
             FocusConfig(sigma_px=0.0)
-        with pytest.raises(ConfigError, match="eps_z"):
-            FocusConfig(eps_z=-1.0)
-        with pytest.raises(ConfigError, match="project_negative"):
-            FocusConfig(project_negative="drop")
         # an on/off setting is a bool; a number setting is a finite number, not True
         for key, value, message in (
                 ("smooth_positions", "no", "must be True or False, got 'no'"),
                 ("smooth_positions", 1, "must be True or False, got 1"),
                 ("sigma_px", True, "must be a finite number, got True"),
-                ("sigma_px", math.inf, "must be a finite number, got inf"),
-                ("eps_z", "a", "must be a finite number, got 'a'")):
+                ("sigma_px", math.inf, "must be a finite number, got inf")):
             with pytest.raises(ConfigError, match=f"^{key}: {re.escape(message)}$"):
                 FocusConfig(**{key: value})
         assert FocusConfig(smooth_positions=np.True_).smooth_positions
@@ -582,56 +559,46 @@ class TestMotionStream:
 class TestStreamAgainstOracle:
     """Every mode of MotionStream, whole and chunked, against oracle_samples."""
 
-    @pytest.mark.parametrize("negative", ["skip", "mirror"])
     @pytest.mark.parametrize("smooth", [False, True])
-    def test_noisy_head_yaw(self, negative, smooth):
+    def test_noisy_head_yaw(self, smooth):
         spec = ScenarioSpec(kind="head_yaw_divergence", frames=150, seed=4,
                             bob_amplitude=0.002, jitter_amplitude_rad=0.003)
         poses, _ = generate_trajectory(spec)
-        cfg = FocusConfig(project_negative=negative, smooth_positions=smooth)
+        cfg = FocusConfig(smooth_positions=smooth)
         for chunk in (None, 1, 7):
             ok, _ = check_against_oracle(poses, WIDE, cfg, chunk)
             assert ok.any()
-        if negative == "skip":
-            assert not ok.all()
+        assert not ok.all()
 
-    @pytest.mark.parametrize("negative", ["skip", "mirror"])
-    def test_depths_about_eps_z(self, negative):
-        # camera-frame depths of a few eps_z either side of zero, some
-        # of them inside the cut-off band
+    def test_depths_about_eps_z(self):
+        # camera-frame depths of a few DEFAULT_EPS_Z either side of zero,
+        # some of them inside the cut-off band
         rng = np.random.default_rng(3)
         accelerations = rng.standard_normal((300, 3)) * [1.0, 1.0, 3e-6]
         poses = poses_at(np.cumsum(np.cumsum(accelerations, axis=0), axis=0))
-        cfg = FocusConfig(project_negative=negative)
+        cfg = FocusConfig()
         ok, _ = check_against_oracle(poses, WIDE, cfg, chunk=11)
         depth = MotionStream(WIDE, cfg).push(poses).a_camera[:, 2]
-        near = np.abs(depth) <= cfg.eps_z
+        near = np.abs(depth) <= DEFAULT_EPS_Z
         assert near.any() and not ok[near].any()
-        assert ok[depth > cfg.eps_z].all()
-        behind = ok[depth < -cfg.eps_z]
-        assert behind.all() if negative == "mirror" else not behind.any()
+        assert ok[depth > DEFAULT_EPS_Z].all()
+        assert not ok[depth < -DEFAULT_EPS_Z].any()
 
-    @pytest.mark.parametrize("negative", ["skip", "mirror"])
-    def test_pure_backward_acceleration(self, negative):
+    def test_pure_backward_acceleration(self):
         # braking straight ahead: a_camera is (0, 0, -decel) until the stop
         spec = ScenarioSpec(kind="brake", frames=30, speed=0.2, decel=0.01)
         poses, _ = generate_trajectory(spec)
-        ok, uv = check_against_oracle(poses, K, FocusConfig(project_negative=negative))
-        if negative == "skip":
-            assert not ok.any()
-        else:  # frames 2 to 16 are still braking
-            assert ok[:15].all()
-            np.testing.assert_array_equal(uv[:15], [[K.cx, K.cy]] * 15)
+        ok, _ = check_against_oracle(poses, K, FocusConfig())
+        assert not ok.any()
 
-    @pytest.mark.parametrize("negative", ["skip", "mirror"])
     @pytest.mark.parametrize("smooth", [False, True])
-    def test_empty_and_short_chunks(self, negative, smooth):
+    def test_empty_and_short_chunks(self, smooth):
         # chunks of 0, 1 and 2 poses at the stream head and mid-stream,
         # an empty batch among them, then the rest and an empty tail
         spec = ScenarioSpec(kind="head_yaw_divergence", frames=40, seed=4,
                             bob_amplitude=0.002, jitter_amplitude_rad=0.003)
         poses, _ = generate_trajectory(spec)
-        cfg = FocusConfig(project_negative=negative, smooth_positions=smooth)
+        cfg = FocusConfig(smooth_positions=smooth)
         check_against_oracle(poses, WIDE, cfg)
         whole = MotionStream(WIDE, cfg).push(poses)
         keys = ("frames", "a_world", "a_camera", "magnitude", "uv", "projectable")

@@ -142,10 +142,6 @@ class TestBrake:
         spec = ScenarioSpec(kind="brake", frames=10, speed=0.2, decel=0.01)
         poses, truth = generate_trajectory(spec)
         assert oracle_focus_point(truth.acceleration[4], poses[5], K) is None
-        mirrored = oracle_focus_point(
-            truth.acceleration[4], poses[5], K, FocusConfig(project_negative="mirror")
-        )
-        assert mirrored == (320.0, 240.0)  # pure -z maps to the principal point
 
 
 class TestClimb:
