@@ -7,8 +7,9 @@ Builds each seed's long_stream and batched_stitch inputs (perfbench/workloads.py
 own src/ and runs them through that tree (or takes two output trees). Prints the input files that
 differ (or that all are identical), if the summary counters match, each tree's count of map files,
 of distinct inodes among them (links share one) and of files with the previous frame's bytes (same
-kind) that are not a link to its file, the maps, CSV rows and other files that differ, and the
-largest differences, maps against golden's max(8, 0.1%). --emit-float-maps adds the .mfm sidecars;
+kind) that are not a link to its file, the maps, CSV rows, float32 .mfm/.mfd sidecars and other
+files that differ, and the largest differences, maps against golden's max(8, 0.1%); a sidecar whose
+header differs counts as another file. --emit-float-maps adds the .mfm sidecars;
 --depth writes one deterministic depth_NNNNNN.mfd per frame at map size as an input and passes
 their directory, so every frame renders and also writes a depth output. Flags lead."""
 import os, re, subprocess, sys, tempfile  # noqa: E401
@@ -45,9 +46,16 @@ def _rows(data):  # CSV values after the header; "np.float64(x)" reads as x
         "np.float64(", "").replace(")", "").splitlines()[1:]]
 
 
+def _sidecar_diff(x, y):  # (abs, rel) of the float32 payloads' largest difference
+    p, q = (np.frombuffer(z, "<f4", offset=16).astype(float) for z in (x, y))
+    differ = (p != q) & ~(np.isnan(p) & np.isnan(q))
+    d, scale = np.abs(p - q)[differ], np.maximum(np.abs(p), np.abs(q))[differ]
+    return np.nan_to_num((d.max(), (d / scale).max()), nan=np.inf)  # NaN on one side: inf
+
+
 def compare(dir_a, dir_b):
     a, b = _files(dir_a), _files(dir_b)
-    maps, other = [], sorted(set(a) ^ set(b))
+    maps, other, sidecars = [], sorted(set(a) ^ set(b)), {}
     for tree, files in zip("AB", (a, b)):  # hard links share an inode
         # (kind, path) in order: each file follows the previous frame's file of its kind
         outputs = sorted((re.sub(r"\d{6}", "", n), p) for n, p in files.items()
@@ -65,11 +73,21 @@ def compare(dir_a, dir_b):
                  else (np.inf, np.inf) for p, q in rows for u, v in zip(p, q) if u != v]
             print(f"  {name}: {sum(p != q for p, q in rows)} of {len(rows)} rows differ, max rel "
                   f"{max((r for _, r in d), default=0):.2e}, abs {max(d, default=(0,))[0]:.2e}")
+        elif name.endswith((".mfm", ".mfd")) and x[:16] == y[:16] and len(x) == len(y):
+            kind = sidecars.setdefault(name[-4:], [0, []])  # files, (name, abs, rel) if differing
+            kind[0] += 1
+            if x != y:
+                kind[1].append((name, *_sidecar_diff(x, y)))
         elif x != y and name.endswith(".pgm"):
             p, q = (np.frombuffer(z.split(b"\n", 3)[3], np.uint8).astype(int) for z in (x, y))
             maps.append((abs(p.sum() - q.sum()) / max(8, p.sum() / 1e3), np.abs(p - q).max()))
         elif x != y:
             other.append(name)
+    for ext, (count, differ) in sorted(sidecars.items()):
+        first = f" (first {differ[0][0]})" if differ else ""
+        print(f"  {ext} sidecars: {len(differ)} of {count} differ{first}, max rel "
+              f"{max((r for *_, r in differ), default=0):.2e}, "
+              f"abs {max((d for _, d, _ in differ), default=0):.2e}")
     print(f"  {len(maps)} maps differ, max (pixel-sum diff / tolerance, grey-level diff) "
           f"{[float(max(c)) for c in zip(*maps)] or [0, 0]}; other files: {other or 'none'}")
 

@@ -134,9 +134,10 @@ def _cmd_sim(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    rows = bench(stream_sizes=args.stream_sizes, resolutions=args.resolutions,
-                 maps_per_resolution=args.maps, points_per_map=args.points)
-    streams.write_bench_csv(rows, args.out if args.out else sys.stdout)
+    with streams._text_file(args.out or sys.stdout, "w") as out:  # fails before any probe
+        rows = bench(stream_sizes=args.stream_sizes, resolutions=args.resolutions,
+                     maps_per_resolution=args.maps, points_per_map=args.points)
+        streams.write_bench_csv(rows, out)
     return 0
 
 

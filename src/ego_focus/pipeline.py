@@ -105,6 +105,8 @@ class RunConfig:
 
     def __post_init__(self):
         require_integer("focus_n", self.focus_n)
+        if self.focus_n < 1:
+            raise ConfigError("focus_n", f"must be >= 1, got {self.focus_n}")
         require_integer("map_scale", self.map_scale)
         if self.map_scale < 1:
             raise ConfigError("map_scale", f"must be >= 1, got {self.map_scale}")

@@ -580,6 +580,28 @@ class TestBench:
         assert out == ""
         assert err.startswith(f"error: resolutions: {resolution}: ")
 
+    def test_report_path_that_cannot_be_created_fails_before_any_probe(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(benchmark, "_math_row", lambda *a: pytest.fail("a probe ran"))
+        rc = main(["bench", "--out", str(tmp_path / "missing" / "b.csv"),
+                   "--stream-sizes", "1500", "--resolutions", "32x24", "--maps", "2"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: [Errno 2] ")
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_probe_leaves_no_report(self, tmp_path, capsys, monkeypatch):
+        def fail(*args):
+            raise MemoryError("probe")
+
+        monkeypatch.setattr(benchmark, "_math_row", fail)
+        rc = main(["bench", "--out", str(tmp_path / "b.csv"),
+                   "--stream-sizes", "1500", "--resolutions", "32x24", "--maps", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: out of memory: probe\n"
+        assert os.listdir(tmp_path) == []
+
 
 class TestParser:
     def test_configuration_surface_is_pinned(self):

@@ -160,6 +160,8 @@ class TestRunConfig:
             RunConfig(anchor_mode="middle")
         with pytest.raises(Exception):
             RunConfig(window_size=10, overlap=10)
+        with pytest.raises(ConfigError, match="^focus_n: must be >= 1, got 0$"):
+            RunConfig(focus_n=0)
         # counts and sizes are integers, 2.0 and True included
         for key, value in (("map_scale", 2.0), ("focus_n", 2.5), ("window_size", 60.0),
                            ("overlap", 5.0), ("threads", 2.5), ("threads", "2"),
