@@ -9,11 +9,11 @@ pass, so timing numbers are never taken under instrumentation.
 
 The math stage is the run's own math loop: the stitch_step ->
 MotionStream.push generator that run_stream_batches drives, fed from
-the arc simulator as PoseBatch chunks through iter_windows. For the
-smallest stream size the poses are pre-built so the figure is pure
-pipeline math; for larger sizes the stream is generated on the fly in
-bounded memory, which makes the reported rate a lower bound on the math
-rate but lets the memory probe demonstrate length-independent footprint.
+the arc simulator as PoseBatch chunks through iter_windows. Every stream
+size is generated on the fly in bounded memory and the timed pass
+includes generating the poses, so the reported rate is a lower bound on
+the math rate, the same one at every size, and the memory probe shows a
+length-independent footprint.
 """
 
 from __future__ import annotations
@@ -30,10 +30,8 @@ from .errors import ConfigError
 from .geometry import Intrinsics, PoseBatch
 from .motion import FocusConfig, FocusPoint, render_focus_map
 from .pipeline import RunConfig, _stitched_blocks, iter_windows
-from .simulate import ScenarioSpec, generate_trajectory, iter_trajectory
+from .simulate import ScenarioSpec, iter_trajectory
 from .stitching import StitchState
-
-_PREBUILD_LIMIT = 200_000
 
 DEFAULT_STREAM_SIZES = (100_000, 1_000_000)
 DEFAULT_RESOLUTIONS = ((1920, 1080), (640, 480))
@@ -56,18 +54,11 @@ def _consume_math(poses: Iterable[PoseBatch], cfg: RunConfig) -> int:
 def _math_row(size: int, cfg: RunConfig) -> dict:
     spec = _bench_spec(size)
 
-    # Timed pass, no instrumentation.
+    # Timed pass, no instrumentation; it includes generating the poses.
     chunk_size = cfg.window_size * 8
-    if size <= _PREBUILD_LIMIT:
-        poses, _ = generate_trajectory(spec)
-        t0 = time.perf_counter()
-        frames = _consume_math([poses], cfg)
-        dt = time.perf_counter() - t0
-        del poses
-    else:
-        t0 = time.perf_counter()
-        frames = _consume_math((poses for poses, _ in iter_trajectory(spec, chunk_size)), cfg)
-        dt = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    frames = _consume_math((poses for poses, _ in iter_trajectory(spec, chunk_size)), cfg)
+    dt = time.perf_counter() - t0
 
     # Memory pass, generator-fed so footprint cannot scale with length.
     gc.collect()

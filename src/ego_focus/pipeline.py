@@ -137,7 +137,6 @@ class RunSummary:
 
     frames_in: int = 0
     windows: int = 0
-    frames_emitted: int = 0
     samples: int = 0
     points_projected: int = 0
     points_skipped: int = 0
@@ -365,11 +364,11 @@ def run_stream_batches(batches: Iterable[PoseBatch], intrinsics: Intrinsics,
 
     # A completed run emits every frame it was given exactly once.
     summary.windows = state.window_count
-    summary.frames_in = summary.frames_emitted = state.emitted_count
+    summary.frames_in = state.emitted_count
     summary.points_skipped = summary.samples - summary.points_projected
     summary.wall_seconds = time.perf_counter() - t_start
     if summary.wall_seconds > 0:
-        summary.poses_per_second = summary.frames_emitted / summary.wall_seconds
+        summary.poses_per_second = summary.frames_in / summary.wall_seconds
         summary.maps_per_second = summary.maps_written / summary.wall_seconds
     summary.peak_rss_bytes = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
     return summary

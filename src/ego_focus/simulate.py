@@ -111,14 +111,11 @@ class ScenarioSpec:
 
 @dataclass(frozen=True, slots=True)
 class TrajectoryTruth:
-    """Clean analytic kinematics, one row per frame."""
+    """Clean analytic kinematics: one row per frame, or one frame's three vectors."""
 
     position: np.ndarray
     velocity: np.ndarray
     acceleration: np.ndarray
-
-    def __len__(self) -> int:
-        return self.position.shape[0]
 
 
 def _splitmix_unit(seed: int, frames: np.ndarray, lane: int) -> np.ndarray:
@@ -336,10 +333,7 @@ def perturb_batches(batches: Sequence[PoseBatch],
             disturbances.append(RigidTransform(np.eye(3), np.zeros(3)))
             out_batches.append(batch)
             continue
-        if pitch == 0.0 and roll == 0.0:
-            d = RigidTransform(rotation_about_gravity(yaw), trans)
-        else:
-            d = RigidTransform(compose_gravity_ypr(yaw, pitch, roll), trans)
+        d = RigidTransform(compose_gravity_ypr(yaw, pitch, roll), trans)
         disturbances.append(d)
         out_batches.append(_compose_batch_world(batch, d))
     return out_batches, disturbances

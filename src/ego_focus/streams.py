@@ -54,19 +54,12 @@ os.register_at_fork(after_in_child=_tmp_names.seed)
 
 
 @dataclass(frozen=True, slots=True)
-class TruthSample:
-    position: np.ndarray
-    velocity: np.ndarray
-    acceleration: np.ndarray
-
-
-@dataclass(frozen=True, slots=True)
 class PoseStreamRecord:
     """One line of a pose stream."""
 
     frame: int
     T_wc: np.ndarray
-    truth: Optional[TruthSample] = None
+    truth: Optional[TrajectoryTruth] = None
 
     def to_pose(self) -> CameraPose:
         return CameraPose.from_matrix(self.frame, self.T_wc)
@@ -240,7 +233,8 @@ def load_pose_stream(source: Union[str, os.PathLike, IO[str]]) -> Iterator[PoseS
     with _text_file(source, "r", sys.stdin) as fh:
         for first, rows, truth in _pose_chunks(fh):
             for i, (matrix, tr) in enumerate(zip(rows.reshape(-1, 4, 4), truth)):
-                yield PoseStreamRecord(first + i, matrix, None if tr is None else TruthSample(*tr))
+                yield PoseStreamRecord(first + i, matrix,
+                                       None if tr is None else TrajectoryTruth(*tr))
 
 
 def load_pose_batches(source: Union[str, os.PathLike, IO[str]]) -> Iterator[PoseBatch]:
@@ -298,9 +292,8 @@ def records_from_poses(poses: PoseBatch,
     matrices[:, :3, 3] = poses.translations
     matrices[:, 3, 3] = 1.0
     for i, matrix in enumerate(matrices):
-        sample = None
-        if truth is not None:
-            sample = TruthSample(truth.position[i], truth.velocity[i], truth.acceleration[i])
+        sample = None if truth is None else TrajectoryTruth(
+            truth.position[i], truth.velocity[i], truth.acceleration[i])
         yield PoseStreamRecord(poses.first_frame + i, matrix, sample)
 
 

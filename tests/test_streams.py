@@ -16,6 +16,7 @@ from ego_focus import (
     PoseStreamRecord,
     ScenarioSpec,
     StreamDiscontinuityError,
+    TrajectoryTruth,
     generate_trajectory,
     load_intrinsics,
     load_pose_batches,
@@ -35,7 +36,6 @@ from ego_focus.streams import (
     FocusPointCsvWriter,
     PoseStreamRecord,
     ResidualCsvWriter,
-    TruthSample,
     atomic_write_bytes,
     depth_input_name,
     depth_output_name,
@@ -285,7 +285,7 @@ class TestPoseChunks:
         written = []
         for i, (top, truth) in enumerate(records):
             matrix = np.array(top + [0.0, 0.0, 0.0, 1.0]).reshape(4, 4)
-            sample = None if truth is None else TruthSample(*np.array(truth).reshape(3, 3))
+            sample = None if truth is None else TrajectoryTruth(*np.array(truth).reshape(3, 3))
             written.append(PoseStreamRecord(first + i, matrix, sample))
         buf = io.StringIO()
         assert write_pose_stream(buf, written) == len(written)
