@@ -5,11 +5,12 @@ Usage: python3 scripts/compare_outputs.py [--emit-float-maps] [--depth] TREE_A T
        python3 scripts/compare_outputs.py --dirs A B
 Builds each seed's long_stream and batched_stitch inputs (perfbench/workloads.py) with each tree's
 own src/ and runs them through that tree (or takes two output trees). Prints the input files that
-differ (or that all are identical), if the summary counters match, each tree's count of map files,
-of distinct inodes among them (links share one) and of files with the previous frame's bytes (same
-kind) that are not a link to its file, the maps, CSV rows, float32 .mfm/.mfd sidecars and other
-files that differ, and the largest differences, maps against golden's max(8, 0.1%); a sidecar whose
-header differs counts as another file. --emit-float-maps adds the .mfm sidecars;
+differ (or that all are identical), if the summary counters match (eight, by name, so a summary
+field that only one tree has is left out), each tree's count of map files, of distinct inodes among
+them (links share one) and of files with the previous frame's bytes (same kind) that are not a link
+to its file, the maps, CSV rows, float32 .mfm/.mfd sidecars and other files that differ, and the
+largest differences, maps against golden's max(8, 0.1%); a sidecar whose header differs counts as
+another file. --emit-float-maps adds the .mfm sidecars;
 --depth writes one deterministic depth_NNNNNN.mfd per frame at map size as an input and passes
 their directory, so every frame renders and also writes a depth output. Flags lead."""
 import os, re, subprocess, sys, tempfile  # noqa: E401
@@ -33,7 +34,8 @@ if "--depth" in flags:
 run, poses = ((p.run_stream_batches, pickle.load(open(job["poses_path"], "rb"))) if job["batched"]
               else (p.run_stream, s.load_pose_batches(job["poses_path"])))
 summary = run(poses, k, cfg, tmp + "/out", tmp + "/out/residuals.csv", depth_dir)
-print(summary.lines()[:9])  # counters"""
+print([f"{n}={getattr(summary, n)}" for n in ("frames_in", "windows", "samples", "points_projected",
+       "points_skipped", "maps_written", "zero_maps", "boundaries")])  # counters"""
 
 
 def _files(root):  # relative name -> path of every file under root

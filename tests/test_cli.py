@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import shutil
 import subprocess
 
@@ -627,6 +628,20 @@ class TestParser:
         with pytest.raises(SystemExit) as exc_info:
             main([])
         assert exc_info.value.code != 0
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    # The README's python block, run beside the poses.jsonl it reads.
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        readme = fh.read()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    assert main(["sim", "--scenario", "arc", "--frames", "100",
+                 "--out", str(tmp_path / "poses.jsonl")]) == 0
+    monkeypatch.chdir(tmp_path)
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert "frames_in=100" in capsys.readouterr().out.splitlines()
+    assert (tmp_path / "maps" / "focus_points.csv").exists()
 
 
 @pytest.mark.skipif(shutil.which("ego-focus") is None,

@@ -351,6 +351,34 @@ class TestRunStream:
         assert any(line.startswith("frames_in=12") for line in lines)
         assert any(line.startswith("peak_rss_bytes=") for line in lines)
 
+    def test_window_plan_moves_only_low_bits_of_the_csv(self, tmp_path):
+        # The README's claim: another window plan moves focus_points.csv only
+        # in its low bits and leaves every map identical.
+        spec = ScenarioSpec(kind="circular_arc", frames=600, noise_kind="white",
+                            bob_amplitude=0.01, jitter_amplitude_rad=0.004, seed=3)
+        poses, _ = generate_trajectory(spec)
+        k = Intrinsics(fx=40.0, fy=40.0, cx=320.0, cy=240.0, width=640, height=480)
+
+        def run(window_size, overlap):
+            out = tmp_path / f"{window_size}_{overlap}"
+            run_stream([poses], k, RunConfig(window_size=window_size, overlap=overlap,
+                                             map_scale=8), str(out))
+            rows = [line.split(",") for line in
+                    (out / "focus_points.csv").read_text().splitlines()[1:]]
+            values = np.array([[float(f) if f else np.nan for f in row] for row in rows])
+            maps = {f: (out / f).read_bytes() for f in os.listdir(out) if f.endswith(".pgm")}
+            return values, maps
+
+        whole_values, whole_maps = run(600, 0)
+        assert len(whole_maps) == 598
+        for plan in [(60, 5), (30, 10), (8, 6)]:
+            values, maps = run(*plan)
+            assert maps == whole_maps, plan
+            # NaN marks the empty u, v of a non-projectable row; equal_nan
+            # needs the same ones on both sides.
+            np.testing.assert_allclose(values, whole_values, rtol=1e-9, atol=0,
+                                       equal_nan=True, err_msg=str(plan))
+
     def test_smooth_positions_flag_changes_maps(self, tmp_path):
         spec = ScenarioSpec(kind="arc", frames=80, radius=2.0, omega=0.05,
                             bob_amplitude=0.01, seed=3)
