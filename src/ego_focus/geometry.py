@@ -210,7 +210,8 @@ class PoseBatch:
                                 self.translations[i:i + 1])
 
     def __iter__(self):
-        return (self[i] for i in range(len(self)))
+        first, r, t = self.first_frame, self.rotations, self.translations
+        return (CameraPose._wrap(first + i, r[i:i + 1], t[i:i + 1]) for i in range(len(self)))
 
     def __eq__(self, other):
         if isinstance(other, PoseBatch):

@@ -55,14 +55,13 @@ os.register_at_fork(after_in_child=_tmp_names.seed)
 
 @dataclass(frozen=True, slots=True)
 class PoseStreamRecord:
-    """One line of a pose stream."""
+    """One line of a pose stream: its validated pose and, optionally, its truth."""
 
-    frame: int
-    T_wc: np.ndarray
+    pose: CameraPose
     truth: Optional[TrajectoryTruth] = None
 
     def to_pose(self) -> CameraPose:
-        return CameraPose.from_matrix(self.frame, self.T_wc)
+        return self.pose
 
 
 @contextlib.contextmanager
@@ -146,15 +145,15 @@ def _store(out: np.ndarray, values) -> bool:
     return True
 
 
-def _pose_chunks(fh: IO[str]) -> Iterator[tuple[int, np.ndarray, list]]:
-    """Parse JSONL pose lines into chunks of at most _CHUNK_ROWS records.
+def _pose_chunks(fh: IO[str]) -> Iterator[tuple[PoseBatch, list]]:
+    """Parse JSONL pose lines into validated chunks of at most _CHUNK_ROWS records.
 
-    A chunk is (first frame, (n, 16) T_wc rows, truth): per record a
-    (3, 3) array of truth position, velocity and acceleration, or None.
-    Blank lines are skipped and frames must advance by exactly one. A
-    line is checked in the order JSON, object, keys, frame, T_wc, last
-    row, truth, frame continuity. When a line fails, the records before
-    it come out first, then its error.
+    A chunk is (poses, truth): per record a (3, 3) array of truth
+    position, velocity and acceleration, or None. Blank lines are skipped
+    and frames must advance by exactly one. A line is checked in the order
+    JSON, object, keys, frame, T_wc, last row, truth, frame continuity, and
+    then as a row of its chunk's PoseBatch. When a line fails, the records
+    before it come out first, then its error.
     """
     prev = None
     line_no = 0
@@ -215,7 +214,14 @@ def _pose_chunks(fh: IO[str]) -> Iterator[tuple[int, np.ndarray, list]]:
             bad_line = line_no + 1 + err.object.count(b"\n", 0, err.start)
             error = StreamFormatError(f"line {bad_line}: not UTF-8 ({err.reason})")
         if truth:  # the passed rows end at frame prev
-            yield prev + 1 - len(truth), rows[:len(truth)], truth
+            first, m = prev + 1 - len(truth), rows[:len(truth)].reshape(-1, 4, 4)
+            try:
+                chunks = [(PoseBatch(first, m[:, :3, :3], m[:, :3, 3]), truth)]
+            except InvalidPoseError:
+                # Pose by pose, so that the poses before the bad one come out first.
+                chunks = ((PoseBatch(first + i, m[i:i + 1, :3, :3], m[i:i + 1, :3, 3]),
+                           truth[i:i + 1]) for i in range(len(m)))
+            yield from chunks
         if error is not None:
             raise error
         if len(truth) < _CHUNK_ROWS:
@@ -228,31 +234,22 @@ def load_pose_stream(source: Union[str, os.PathLike, IO[str]]) -> Iterator[PoseS
     Frames must advance by exactly one; a gap or repeat raises
     StreamDiscontinuityError naming the offending frame. Lines are read
     _CHUNK_ROWS records at a time, so arbitrarily long files run in
-    constant memory. Rotations are left to PoseStreamRecord.to_pose.
+    constant memory. A record's pose is a one-row view of its validated chunk.
     """
     with _text_file(source, "r", sys.stdin) as fh:
-        for first, rows, truth in _pose_chunks(fh):
-            for i, (matrix, tr) in enumerate(zip(rows.reshape(-1, 4, 4), truth)):
-                yield PoseStreamRecord(first + i, matrix,
-                                       None if tr is None else TrajectoryTruth(*tr))
+        for poses, truth in _pose_chunks(fh):
+            for pose, tr in zip(poses, truth):
+                yield PoseStreamRecord(pose, None if tr is None else TrajectoryTruth(*tr))
 
 
 def load_pose_batches(source: Union[str, os.PathLike, IO[str]]) -> Iterator[PoseBatch]:
     """Stream the poses of a JSONL file, a path, or '-', as validated PoseBatch chunks.
 
-    Every error of load_pose_stream and PoseStreamRecord.to_pose comes
-    out the same way here, after the poses before the failing one.
+    Every error comes out after the poses before the failing one.
     """
     with _text_file(source, "r", sys.stdin) as fh:
-        for first, rows, _ in _pose_chunks(fh):
-            m = rows.reshape(-1, 4, 4)
-            try:
-                batches = [PoseBatch(first, m[:, :3, :3], m[:, :3, 3])]
-            except InvalidPoseError:
-                # Pose by pose, so that the poses before the bad one come out first.
-                batches = (PoseBatch(first + i, m[i:i + 1, :3, :3], m[i:i + 1, :3, 3])
-                           for i in range(len(m)))
-            yield from batches
+        for poses, _ in _pose_chunks(fh):
+            yield poses
 
 
 def _floats(values: np.ndarray) -> list[float]:
@@ -260,13 +257,12 @@ def _floats(values: np.ndarray) -> list[float]:
 
 
 def _record_to_json(record: PoseStreamRecord) -> str:
-    obj = {"frame": record.frame, "T_wc": _floats(record.T_wc)}
+    pose = record.pose
+    (r0, r1, r2), (t0, t1, t2) = pose.rotation.tolist(), pose.translation.tolist()
+    obj = {"frame": pose.frame_index, "T_wc": [*r0, t0, *r1, t1, *r2, t2, 0.0, 0.0, 0.0, 1.0]}
     if record.truth is not None:
-        obj["truth"] = {
-            "position": _floats(record.truth.position),
-            "velocity": _floats(record.truth.velocity),
-            "acceleration": _floats(record.truth.acceleration),
-        }
+        obj["truth"] = {key: _floats(getattr(record.truth, key))
+                        for key in ("position", "velocity", "acceleration")}
     return json.dumps(obj, separators=(",", ":"))
 
 
@@ -286,15 +282,10 @@ def write_pose_stream(target: Union[str, os.PathLike, IO[str]],
 
 def records_from_poses(poses: PoseBatch,
                        truth: Optional[TrajectoryTruth] = None) -> Iterator[PoseStreamRecord]:
-    """Pair poses of consecutive frames with per-frame truth rows for serialization."""
-    matrices = np.zeros((len(poses), 4, 4))
-    matrices[:, :3, :3] = poses.rotations
-    matrices[:, :3, 3] = poses.translations
-    matrices[:, 3, 3] = 1.0
-    for i, matrix in enumerate(matrices):
-        sample = None if truth is None else TrajectoryTruth(
-            truth.position[i], truth.velocity[i], truth.acceleration[i])
-        yield PoseStreamRecord(poses.first_frame + i, matrix, sample)
+    """Pair each pose of a batch with its per-frame truth row for serialization."""
+    for i, pose in enumerate(poses):
+        yield PoseStreamRecord(pose, None if truth is None else TrajectoryTruth(
+            truth.position[i], truth.velocity[i], truth.acceleration[i]))
 
 
 def load_intrinsics(source: Union[str, os.PathLike, IO[str]]) -> Intrinsics:

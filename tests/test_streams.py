@@ -13,6 +13,7 @@ from ego_focus import (
     EgoFocusError,
     Intrinsics,
     InvalidPoseError,
+    PoseBatch,
     PoseStreamRecord,
     ScenarioSpec,
     StreamDiscontinuityError,
@@ -123,10 +124,11 @@ class TestLoadPoseStream:
     def test_non_orthonormal_rotation_rejected_at_pose_build(self):
         m = np.eye(4)
         m[0, 0] = 1.5
-        line = json.dumps({"frame": 0, "T_wc": m.reshape(16).tolist()})
-        records = list(load_pose_stream(stream_of(line)))
-        with pytest.raises(InvalidPoseError):
-            records[0].to_pose()
+        line = json.dumps({"frame": 1, "T_wc": m.reshape(16).tolist()})
+        records = load_pose_stream(stream_of(IDENTITY_LINE, line))
+        assert next(records).pose.frame_index == 0
+        with pytest.raises(InvalidPoseError, match="frame 1: rotation drift"):
+            next(records)
 
     def test_truth_block_parsed(self):
         obj = json.loads(IDENTITY_LINE)
@@ -277,22 +279,25 @@ class TestPoseChunks:
     @settings(max_examples=60, deadline=None)
     @given(first=st.integers(0, 2 ** 63 - 8),
            records=st.lists(st.tuples(
-               st.lists(st.floats(allow_nan=False), min_size=12, max_size=12),
+               st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3),
+               st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
                st.none() | st.lists(st.floats(allow_nan=False), min_size=9, max_size=9)),
                max_size=8))
-    @example(first=2 ** 63 - 8, records=[([1.0, 0.0, 0.0, 0.0] * 3, None)] * 8)
+    @example(first=2 ** 63 - 8, records=[([0.0] * 3, [0.0] * 3, None)] * 8)
     def test_write_then_load_round_trip(self, first, records):
-        written = []
-        for i, (top, truth) in enumerate(records):
-            matrix = np.array(top + [0.0, 0.0, 0.0, 1.0]).reshape(4, 4)
-            sample = None if truth is None else TrajectoryTruth(*np.array(truth).reshape(3, 3))
-            written.append(PoseStreamRecord(first + i, matrix, sample))
+        poses = PoseBatch(first, np.array([compose_gravity_ypr(*ypr) for ypr, _, _ in records]
+                                          ).reshape(-1, 3, 3),
+                          np.array([t for _, t, _ in records]).reshape(-1, 3))
+        written = [PoseStreamRecord(pose, None if truth is None else
+                                    TrajectoryTruth(*np.array(truth).reshape(3, 3)))
+                   for pose, (_, _, truth) in zip(poses, records)]
         buf = io.StringIO()
         assert write_pose_stream(buf, written) == len(written)
         back = list(load_pose_stream(io.StringIO(buf.getvalue())))
-        assert [r.frame for r in back] == [r.frame for r in written]
+        assert [r.pose.frame_index for r in back] == list(range(first, first + len(records)))
         for got, want in zip(back, written):
-            assert got.T_wc.tobytes() == want.T_wc.tobytes()
+            assert got.pose.rotation.tobytes() == want.pose.rotation.tobytes()
+            assert got.pose.translation.tobytes() == want.pose.translation.tobytes()
             assert (got.truth is None) == (want.truth is None)
             if want.truth is not None:
                 for key in ("position", "velocity", "acceleration"):
