@@ -90,7 +90,7 @@ def _resolutions(text: str) -> list[tuple[int, int]]:
 
 def _add_bench_parser(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("bench", help="measure math/render throughput and memory")
-    p.add_argument("--out", default=None, metavar="PATH", help="write report CSV here")
+    p.add_argument("--out", default=None, metavar="PATH", help="report CSV path ('-': stdout)")
     p.add_argument("--stream-sizes", type=_sizes, default=DEFAULT_STREAM_SIZES,
                    help="comma-separated pose-stream lengths for the math stage")
     p.add_argument("--resolutions", type=_resolutions, default=DEFAULT_RESOLUTIONS,
@@ -134,7 +134,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    with streams._text_file(args.out or sys.stdout, "w") as out:  # fails before any probe
+    with streams._text_file(args.out or sys.stdout, "w", sys.stdout) as out:  # before any probe
         rows = bench(stream_sizes=args.stream_sizes, resolutions=args.resolutions,
                      maps_per_resolution=args.maps, points_per_map=args.points)
         streams.write_bench_csv(rows, out)

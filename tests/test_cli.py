@@ -40,6 +40,26 @@ class TestSim:
         assert set(first["truth"]) == {"position", "velocity", "acceleration"}
         assert "wrote 90 frames" in capsys.readouterr().out
 
+    def test_constant_velocity_stream_bytes(self, capsys):
+        # No trigonometry, so the same bytes on every platform: -0.0 entries
+        # stay signed and the last row of T_wc is written as floats.
+        assert main(["sim", "--scenario", "constant_velocity", "--frames", "3",
+                     "--out", "-"]) == 0
+        assert capsys.readouterr().out == (
+            '{"frame":0,"T_wc":'
+            '[1.0,0.0,-0.0,-0.0,-0.0,1.0,-0.0,-0.0,0.0,0.0,1.0,-0.0,0.0,0.0,0.0,1.0]'
+            ',"truth":{"position":[0.0,0.0,0.0]'
+            ',"velocity":[0.0,0.0,0.1],"acceleration":[0.0,0.0,0.0]}}\n'
+            '{"frame":1,"T_wc":'
+            '[1.0,0.0,-0.0,-0.0,-0.0,1.0,-0.0,-0.0,0.0,0.0,1.0,-0.1,0.0,0.0,0.0,1.0]'
+            ',"truth":{"position":[0.0,0.0,0.1]'
+            ',"velocity":[0.0,0.0,0.1],"acceleration":[0.0,0.0,0.0]}}\n'
+            '{"frame":2,"T_wc":'
+            '[1.0,0.0,-0.0,-0.0,-0.0,1.0,-0.0,-0.0,0.0,0.0,1.0,-0.2,0.0,0.0,0.0,1.0]'
+            ',"truth":{"position":[0.0,0.0,0.2]'
+            ',"velocity":[0.0,0.0,0.1],"acceleration":[0.0,0.0,0.0]}}\n'
+        )
+
     def test_negative_seed_fails_cleanly(self, tmp_path, capsys):
         rc = main([
             "sim", "--scenario", "arc", "--frames", "10", "--seed", "-1",
@@ -558,6 +578,13 @@ class TestBench:
         assert exc_info.value.code == 2
         assert f"argument {flag}: expected" in capsys.readouterr().err
         assert not report.exists()
+
+    def test_bench_to_dash_is_stdout(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "--out", "-", "--stream-sizes", "1500", "--resolutions", "32x24",
+                     "--maps", "2"]) == 0
+        assert capsys.readouterr().out.startswith("stage,resolution,throughput,peak_mem_bytes\n")
+        assert os.listdir(tmp_path) == []
 
     def test_bench_to_stdout(self, capsys):
         rc = main([
