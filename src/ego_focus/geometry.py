@@ -210,8 +210,11 @@ class PoseBatch:
                                 self.translations[i:i + 1])
 
     def __iter__(self):
-        first, r, t = self.first_frame, self.rotations, self.translations
-        return (CameraPose._wrap(first + i, r[i:i + 1], t[i:i + 1]) for i in range(len(self)))
+        # Rows of frozen arrays are read-only views, so _wrap's freezing is skipped.
+        for i, (r, t) in enumerate(zip(self.rotations[:, None], self.translations[:, None])):
+            pose = object.__new__(CameraPose)
+            pose.first_frame, pose.rotations, pose.translations = self.first_frame + i, r, t
+            yield pose
 
     def __eq__(self, other):
         if isinstance(other, PoseBatch):

@@ -252,16 +252,12 @@ def load_pose_batches(source: Union[str, os.PathLike, IO[str]]) -> Iterator[Pose
             yield poses
 
 
-def _floats(values: np.ndarray) -> list[float]:
-    return np.asarray(values, dtype=np.float64).reshape(-1).tolist()
-
-
 def _record_to_json(record: PoseStreamRecord) -> str:
     pose = record.pose
-    (r0, r1, r2), (t0, t1, t2) = pose.rotation.tolist(), pose.translation.tolist()
-    obj = {"frame": pose.frame_index, "T_wc": [*r0, t0, *r1, t1, *r2, t2, 0.0, 0.0, 0.0, 1.0]}
+    [(r0, r1, r2)], [(t0, t1, t2)] = pose.rotations.tolist(), pose.translations.tolist()
+    obj = {"frame": pose.first_frame, "T_wc": [*r0, t0, *r1, t1, *r2, t2, 0.0, 0.0, 0.0, 1.0]}
     if record.truth is not None:
-        obj["truth"] = {key: _floats(getattr(record.truth, key))
+        obj["truth"] = {key: np.asarray(getattr(record.truth, key), np.float64).reshape(-1).tolist()
                         for key in ("position", "velocity", "acceleration")}
     return json.dumps(obj, separators=(",", ":"))
 
