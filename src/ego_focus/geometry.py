@@ -210,11 +210,8 @@ class PoseBatch:
                                 self.translations[i:i + 1])
 
     def __iter__(self):
-        # Rows of frozen arrays are read-only views, so _wrap's freezing is skipped.
-        for i, (r, t) in enumerate(zip(self.rotations[:, None], self.translations[:, None])):
-            pose = object.__new__(CameraPose)
-            pose.first_frame, pose.rotations, pose.translations = self.first_frame + i, r, t
-            yield pose
+        first, r, t = self.first_frame, self.rotations[:, None], self.translations[:, None]
+        return (CameraPose._wrap(first + i, *rt) for i, rt in enumerate(zip(r, t)))
 
     def __eq__(self, other):
         if isinstance(other, PoseBatch):
