@@ -148,7 +148,7 @@ def _store(out: np.ndarray, values) -> bool:
 def _pose_chunks(fh: IO[str]) -> Iterator[tuple[PoseBatch, list]]:
     """Parse JSONL pose lines into validated chunks of at most _CHUNK_ROWS records.
 
-    A chunk is (poses, truth): per record a (3, 3) array of truth
+    A chunk is (poses, truth), truth holding per record a (3, 3) array of
     position, velocity and acceleration, or None. Blank lines are skipped
     and frames must advance by exactly one. A line is checked in the order
     JSON, object, keys, frame, T_wc, last row, truth, frame continuity, and
