@@ -8,11 +8,8 @@ import logging
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .benchmark import DEFAULT_RESOLUTIONS, DEFAULT_STREAM_SIZES, bench
 from .errors import EgoFocusError
-from .geometry import PoseBatch
 from .motion import DEFAULT_FOCUS_N
 from .pipeline import RunConfig, run_stream
 from .simulate import SCENARIOS, ScenarioSpec, iter_trajectory
@@ -116,18 +113,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sim(args: argparse.Namespace) -> int:
-    spec = _config(ScenarioSpec, args)
-
-    def _records():
-        # The simulator wraps its rows unchecked; validate each chunk before
-        # it is written, so a parameter that overflows them (a huge speed)
-        # fails cleanly, with the error alone and no overflow warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for poses, truth in iter_trajectory(spec):
-                poses = PoseBatch(poses.first_frame, poses.rotations, poses.translations)
-                yield from streams.records_from_poses(poses, truth)
-
-    count = streams.write_pose_stream(args.out, _records())
+    count = streams.write_pose_stream(args.out, iter_trajectory(_config(ScenarioSpec, args)))
     if args.out != "-":
         print(f"wrote {count} frames to {args.out}")
     return 0

@@ -8,6 +8,8 @@ heading-locked: its forward axis tracks the velocity direction, its
 down axis stays as close to gravity (+Y) as the path allows. Optional
 head-bob / jitter noise perturbs the poses only; the embedded truth is
 always the clean path, so noise-robustness tests compare against it.
+Poses come out as PoseBatch chunks checked by the drift policy where
+they are made, each with a TrajectoryTruth of one row per frame.
 
 Everything is deterministic under the seed, independently of how the
 stream is chunked.
@@ -111,7 +113,7 @@ class ScenarioSpec:
 
 @dataclass(frozen=True, slots=True)
 class TrajectoryTruth:
-    """Clean analytic kinematics: one row per frame, or one frame's three vectors."""
+    """Clean analytic kinematics: position, velocity and acceleration, one (3,) row per frame."""
 
     position: np.ndarray
     velocity: np.ndarray
@@ -241,45 +243,45 @@ def _heading_frames(vel: np.ndarray) -> np.ndarray:
 
 
 def _poses_for_range(spec: ScenarioSpec, noise: tuple, start: int, stop: int):
-    phases, axis, phase = noise
-    t = np.arange(start, stop, dtype=np.float64)
-    pos, vel, acc = _kinematics(spec, t)
-    r_c2w = _heading_frames(vel)
+    """Frames start to stop - 1 as a PoseBatch checked by the drift policy, and their truth."""
+    # A parameter that overflows the poses (a huge speed) fails the check with
+    # no numpy warning. numpy's error state is a context variable, so it is set
+    # here and not around a yield, where it would hold in the caller.
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases, axis, phase = noise
+        t = np.arange(start, stop, dtype=np.float64)
+        pos, vel, acc = _kinematics(spec, t)
+        r_c2w = _heading_frames(vel)
 
-    if spec.kind == "head_yaw_divergence":
-        phi = spec.head_yaw_amplitude * np.sin(2.0 * math.pi * spec.head_yaw_frequency * t)
-        ry = np.stack([rotation_about_gravity(a) for a in phi])
-        r_c2w = np.einsum("nij,njk->nik", ry, r_c2w)
+        if spec.kind == "head_yaw_divergence":
+            phi = spec.head_yaw_amplitude * np.sin(2.0 * math.pi * spec.head_yaw_frequency * t)
+            ry = np.stack([rotation_about_gravity(a) for a in phi])
+            r_c2w = np.einsum("nij,njk->nik", ry, r_c2w)
 
-    centers = pos + _bob_offsets(spec, phases, t)
+        centers = pos + _bob_offsets(spec, phases, t)
 
-    if spec.jitter_amplitude_rad > 0.0:
-        if spec.noise_kind == "white":
-            angles = spec.jitter_amplitude_rad * _splitmix_unit(spec.seed, t.astype(np.int64), 3)
-        else:
-            angles = spec.jitter_amplitude_rad * np.sin(
-                2.0 * math.pi * _JITTER_FREQ * t + phase
-            )
-        jitter = np.stack([_rotvec_matrix(axis, a) for a in angles])
-        r_c2w = np.einsum("nij,njk->nik", r_c2w, jitter)
+        if spec.jitter_amplitude_rad > 0.0:
+            if spec.noise_kind == "white":
+                unit = _splitmix_unit(spec.seed, t.astype(np.int64), 3)
+            else:
+                unit = np.sin(2.0 * math.pi * _JITTER_FREQ * t + phase)
+            angles = spec.jitter_amplitude_rad * unit
+            jitter = np.stack([_rotvec_matrix(axis, a) for a in angles])
+            r_c2w = np.einsum("nij,njk->nik", r_c2w, jitter)
 
-    r_w2c = np.ascontiguousarray(np.transpose(r_c2w, (0, 2, 1)))
-    t_w2c = -np.einsum("nij,nj->ni", r_w2c, centers)
-    # Orthonormal by construction (cross products of unit vectors, then
-    # products of rotations), so the rows are not validated again.
-    poses = PoseBatch._wrap(start, r_w2c, t_w2c)
-    truth = TrajectoryTruth(position=pos, velocity=vel, acceleration=acc)
-    return poses, truth
+        r_w2c = np.ascontiguousarray(np.transpose(r_c2w, (0, 2, 1)))
+        t_w2c = -np.einsum("nij,nj->ni", r_w2c, centers)
+        return PoseBatch(start, r_w2c, t_w2c), TrajectoryTruth(pos, vel, acc)
 
 
 def generate_trajectory(spec: ScenarioSpec) -> tuple[PoseBatch, TrajectoryTruth]:
-    """All frames at once. Use iter_trajectory for very long streams."""
+    """All frames at once, as one checked PoseBatch. Use iter_trajectory for long streams."""
     return _poses_for_range(spec, _noise_draws(spec.seed), 0, spec.frames)
 
 
 def iter_trajectory(spec: ScenarioSpec, chunk_size: int = 512
                     ) -> Iterator[tuple[PoseBatch, TrajectoryTruth]]:
-    """Chunked generation with bounded memory; chunking never changes values."""
+    """Checked chunks with bounded memory; chunking never changes values."""
     require_integer("chunk_size", chunk_size)
     if chunk_size < 1:
         raise ConfigError("chunk_size", f"must be >= 1, got {chunk_size}")

@@ -25,15 +25,15 @@ import contextlib
 import json
 import os
 import random
+import stat
 import struct
 import sys
-from dataclasses import dataclass
-from typing import IO, Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import ConfigError, InvalidPoseError, StreamDiscontinuityError, StreamFormatError
-from .geometry import FRAME_LIMIT, CameraPose, Intrinsics, PoseBatch, _is_last_row
+from .geometry import FRAME_LIMIT, Intrinsics, PoseBatch, _is_last_row
 from .motion import MotionBlock
 from .simulate import TrajectoryTruth
 from .stitching import BoundaryResidual
@@ -41,10 +41,12 @@ from .stitching import BoundaryResidual
 FOCUS_MAP_MAGIC = b"MFMAP\x00\x00\x00"
 DEPTH_MAP_MAGIC = b"MFDEP\x00\x00\x00"
 
-# Records per parsed chunk: the unit of validation, and how far a reader
-# of a live pipe runs ahead of the records it has handed on.
+# Records per parsed chunk of a regular file, the unit of validation (a
+# pipe's records go on one by one, as they arrive), and rows per write.
 _CHUNK_ROWS = 64
 _NUMBER_TYPES = {int, float}
+_TRUTH_KEYS = ("position", "velocity", "acceleration")
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 # Temp-file names come from a private generator, seeded from os.urandom
 # here and again in a forked child: creating a file makes no getrandom
@@ -53,14 +55,13 @@ _tmp_names = random.Random()
 os.register_at_fork(after_in_child=_tmp_names.seed)
 
 
-@dataclass(frozen=True, slots=True)
-class PoseStreamRecord:
-    """One line of a pose stream: its validated pose and, optionally, its truth."""
+class PoseStreamRecord(NamedTuple):
+    """Validated poses of consecutive frames and, optionally, their truth, one row per pose."""
 
-    pose: CameraPose
+    pose: PoseBatch
     truth: Optional[TrajectoryTruth] = None
 
-    def to_pose(self) -> CameraPose:
+    def to_pose(self) -> PoseBatch:
         return self.pose
 
 
@@ -148,6 +149,9 @@ def _store(out: np.ndarray, values) -> bool:
 def _pose_chunks(fh: IO[str]) -> Iterator[tuple[PoseBatch, list]]:
     """Parse JSONL pose lines into validated chunks of at most _CHUNK_ROWS records.
 
+    From a pipe, a FIFO or a terminal a chunk is one record, so that no
+    record waits for lines that have not been written yet.
+
     A chunk is (poses, truth), truth holding per record a (3, 3) array of
     position, velocity and acceleration, or None. Blank lines are skipped
     and frames must advance by exactly one. A line is checked in the order
@@ -155,12 +159,16 @@ def _pose_chunks(fh: IO[str]) -> Iterator[tuple[PoseBatch, list]]:
     then as a row of its chunk's PoseBatch. When a line fails, the records
     before it come out first, then its error.
     """
+    try:
+        size = _CHUNK_ROWS if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else 1
+    except (OSError, ValueError):  # no descriptor, as io.StringIO
+        size = _CHUNK_ROWS
     prev = None
     line_no = 0
     lines = enumerate(fh, start=1)
     while True:
-        rows = np.empty((_CHUNK_ROWS, 16))
-        truth_rows = np.empty((_CHUNK_ROWS, 3, 3))
+        rows = np.empty((size, 16))
+        truth_rows = np.empty((size, 3, 3))
         truth: list[Optional[np.ndarray]] = []
         error = None
         try:
@@ -193,7 +201,7 @@ def _pose_chunks(fh: IO[str]) -> Iterator[tuple[PoseBatch, list]]:
                 if tr is not None:
                     if not isinstance(tr, dict):
                         raise StreamFormatError(f"line {line_no}: truth must be an object")
-                    for key, out in zip(("position", "velocity", "acceleration"), truth_rows[n]):
+                    for key, out in zip(_TRUTH_KEYS, truth_rows[n]):
                         if not _store(out, tr.get(key)):
                             raise StreamFormatError(
                                 f"line {line_no}: truth.{key} must be a list of 3 numbers")
@@ -203,7 +211,7 @@ def _pose_chunks(fh: IO[str]) -> Iterator[tuple[PoseBatch, list]]:
                         f"line {line_no}: frame {frame} follows {prev}; expected {prev + 1}")
                 prev = frame
                 truth.append(tr)
-                if len(truth) == _CHUNK_ROWS:
+                if len(truth) == size:
                     break
         except (StreamFormatError, StreamDiscontinuityError) as err:
             error = err
@@ -224,7 +232,7 @@ def _pose_chunks(fh: IO[str]) -> Iterator[tuple[PoseBatch, list]]:
             yield from chunks
         if error is not None:
             raise error
-        if len(truth) < _CHUNK_ROWS:
+        if len(truth) < size:
             return
 
 
@@ -234,12 +242,13 @@ def load_pose_stream(source: Union[str, os.PathLike, IO[str]]) -> Iterator[PoseS
     Frames must advance by exactly one; a gap or repeat raises
     StreamDiscontinuityError naming the offending frame. Lines are read
     _CHUNK_ROWS records at a time, so arbitrarily long files run in
-    constant memory. A record's pose is a one-row view of its validated chunk.
+    constant memory. A record is one line: a one-row view of its validated
+    chunk, and its truth as (1, 3) rows or None.
     """
     with _text_file(source, "r", sys.stdin) as fh:
         for poses, truth in _pose_chunks(fh):
             for pose, tr in zip(poses, truth):
-                yield PoseStreamRecord(pose, None if tr is None else TrajectoryTruth(*tr))
+                yield PoseStreamRecord(pose, None if tr is None else TrajectoryTruth(*tr[:, None]))
 
 
 def load_pose_batches(source: Union[str, os.PathLike, IO[str]]) -> Iterator[PoseBatch]:
@@ -252,36 +261,39 @@ def load_pose_batches(source: Union[str, os.PathLike, IO[str]]) -> Iterator[Pose
             yield poses
 
 
-def _record_to_json(record: PoseStreamRecord) -> str:
-    pose = record.pose
-    [(r0, r1, r2)], [(t0, t1, t2)] = pose.rotations.tolist(), pose.translations.tolist()
-    obj = {"frame": pose.first_frame, "T_wc": [*r0, t0, *r1, t1, *r2, t2, 0.0, 0.0, 0.0, 1.0]}
-    if record.truth is not None:
-        obj["truth"] = {key: np.asarray(getattr(record.truth, key), np.float64).reshape(-1).tolist()
-                        for key in ("position", "velocity", "acceleration")}
-    return json.dumps(obj, separators=(",", ":"))
-
-
 def write_pose_stream(target: Union[str, os.PathLike, IO[str]],
                       records: Iterable[PoseStreamRecord]) -> int:
-    """Write records as JSONL; returns the number of lines written.
+    """Write records, or (poses, truth) pairs, as JSONL; returns the number of lines written.
 
-    Accepts a path ('-' for stdout) or an open text file.
+    Accepts a path ('-' for stdout) or an open text file. A record goes out
+    _CHUNK_ROWS rows at a time, with one tolist() per array, so the lines of
+    a long record are never all in memory at once.
     """
     count = 0
     with _text_file(target, "w", sys.stdout) as fh:
-        for record in records:
-            fh.write(_record_to_json(record) + "\n")
-            count += 1
+        for poses, truth in records:
+            columns = [] if truth is None else [np.asarray(getattr(truth, key), np.float64)
+                                                for key in _TRUTH_KEYS]
+            if any(rows.shape != (len(poses), 3) for rows in columns):
+                raise ValueError(f"truth needs a row of 3 per pose, {len(poses)} rows")
+            for i in range(0, len(poses), _CHUNK_ROWS):
+                part = slice(i, i + _CHUNK_ROWS)
+                objs = [{"frame": f, "T_wc": [*r0, t0, *r1, t1, *r2, t2, 0.0, 0.0, 0.0, 1.0]}
+                        for f, (r0, r1, r2), (t0, t1, t2) in zip(
+                            range(poses.first_frame + i, poses.end_frame),
+                            poses.rotations[part].tolist(), poses.translations[part].tolist())]
+                if columns:
+                    for obj, *vectors in zip(objs, *(rows[part].tolist() for rows in columns)):
+                        obj["truth"] = dict(zip(_TRUTH_KEYS, vectors))
+                fh.write("".join([_dumps(obj) + "\n" for obj in objs]))
+                count += len(objs)
     return count
 
 
 def records_from_poses(poses: PoseBatch,
                        truth: Optional[TrajectoryTruth] = None) -> Iterator[PoseStreamRecord]:
-    """Pair each pose of a batch with its per-frame truth row for serialization."""
-    for i, pose in enumerate(poses):
-        yield PoseStreamRecord(pose, None if truth is None else TrajectoryTruth(
-            truth.position[i], truth.velocity[i], truth.acceleration[i]))
+    """A batch and its truth rows as one record, for write_pose_stream."""
+    yield PoseStreamRecord(poses, truth)
 
 
 def load_intrinsics(source: Union[str, os.PathLike, IO[str]]) -> Intrinsics:
@@ -466,11 +478,10 @@ class ResidualCsvWriter(_CsvWriter):
     HEADER = "boundary_index,frame,center_dist,rot_angle_rad"
 
     def write_residual(self, residual: BoundaryResidual) -> None:
-        for i, frame in enumerate(residual.frames):
-            self._fh.write(
-                f"{residual.boundary_index},{frame},"
-                f"{float(residual.center_dist[i])!r},{float(residual.rot_angle_rad[i])!r}\n"
-            )
+        index = residual.boundary_index
+        for frame, dist, angle in zip(residual.frames, residual.center_dist.tolist(),
+                                      residual.rot_angle_rad.tolist()):
+            self._fh.write(f"{index},{frame},{dist!r},{angle!r}\n")
 
 
 def write_bench_csv(rows: Sequence[dict], target: Union[str, os.PathLike, IO[str]]) -> None:

@@ -4,15 +4,19 @@ import os
 import re
 import shutil
 import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+import ego_focus
 from ego_focus import benchmark, cli, pipeline
 from ego_focus.cli import build_parser, main
 from ego_focus.pipeline import RunSummary
 from ego_focus.streams import (
-    read_pgm, records_from_poses, write_depth_map, write_intrinsics, write_pose_stream)
+    focus_map_name, read_pgm, records_from_poses, write_depth_map, write_intrinsics,
+    write_pose_stream)
 from ego_focus import (
     SCENARIOS, FocusConfig, Intrinsics, RunConfig, ScenarioSpec, generate_trajectory)
 
@@ -548,6 +552,44 @@ class TestRun:
         assert err.startswith("error: ") and "focus_000002.pgm" in err
         assert ".tmp-" not in err
         assert not [n for n in os.listdir(out) if n.startswith(".tmp-")]
+
+
+class TestRunFromPipe:
+    def test_a_windows_last_map_leaves_with_its_last_line(self, tmp_path):
+        # A pipe's lines are parsed as they arrive, so a window's last map is
+        # written once its last line is in, not when 64 lines have come.
+        poses, _ = generate_trajectory(ScenarioSpec(kind="arc", frames=200))
+        text = tmp_path / "poses.jsonl"
+        write_pose_stream(text, records_from_poses(poses))
+        lines = text.read_text().splitlines(keepends=True)
+        k_path, out_dir = tmp_path / "k.json", tmp_path / "maps"
+        write_intrinsics(WIDE, k_path)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ego_focus.cli", "run", "--poses", "-",
+             "--intrinsics", str(k_path), "--out-dir", str(out_dir),
+             "--window-size", "60", "--overlap", "5", "--threads", "1"],
+            stdin=subprocess.PIPE, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ego_focus.__file__))})
+        try:
+            sent = 0
+            for last in (59, 114, 169):  # the last frames of windows 0 to 2 (stride 55)
+                proc.stdin.write("".join(lines[sent:last + 1]))
+                proc.stdin.flush()
+                sent = last + 1
+                deadline = time.monotonic() + 30.0
+                while not (out_dir / focus_map_name(last)).exists():
+                    assert proc.poll() is None, proc.stderr.read()
+                    assert time.monotonic() < deadline, f"no map of frame {last} after 30 s"
+                    time.sleep(0.005)
+            proc.stdin.write("".join(lines[sent:]))
+            proc.stdin.close()
+            assert proc.wait(60) == 0, proc.stderr.read()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stderr.close()
+        assert len([f for f in os.listdir(out_dir) if f.endswith(".pgm")]) == 198
 
 
 class TestBench:

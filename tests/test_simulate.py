@@ -8,6 +8,7 @@ from ego_focus import (
     ConfigError,
     FocusConfig,
     Intrinsics,
+    InvalidPoseError,
     ScenarioSpec,
     generate_trajectory,
     iter_trajectory,
@@ -312,3 +313,24 @@ class TestHeadingEdgeCases:
 
         with pytest.raises(PlanError):
             _heading_frames(np.array([[0.0, 1.0, 0.0]]))
+
+
+class TestOverflowingSpec:
+    SPEC = ScenarioSpec(kind="constant_velocity", frames=100, speed=1e308)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("generate", [generate_trajectory,
+                                          lambda spec: next(iter_trajectory(spec))])
+    def test_rejected_where_the_poses_are_made(self, generate):
+        # The poses overflow to non-finite rows; the batch is checked as it
+        # is made, so the drift policy's error comes out and no numpy warning.
+        with pytest.raises(InvalidPoseError, match=r"^frame 0: "):
+            generate(self.SPEC)
+
+    def test_error_state_is_not_left_to_the_caller(self):
+        # numpy's error state is a context variable: one set around a yield
+        # would hold in the caller between chunks.
+        before = np.geterr()
+        chunks = iter_trajectory(ScenarioSpec(kind="arc", frames=20), chunk_size=5)
+        next(chunks)
+        assert np.geterr() == before

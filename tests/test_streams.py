@@ -138,7 +138,8 @@ class TestLoadPoseStream:
             "acceleration": [0.0, 0.0, 0.0],
         }
         records = list(load_pose_stream(stream_of(json.dumps(obj))))
-        np.testing.assert_array_equal(records[0].truth.position, [1.0, 2.0, 3.0])
+        # one row per frame, as the simulator's truth
+        np.testing.assert_array_equal(records[0].truth.position, [[1.0, 2.0, 3.0]])
 
     @pytest.mark.parametrize("field", ["frame", "T_wc", "position", "velocity", "acceleration"])
     def test_bool_is_not_a_number(self, field):
@@ -176,8 +177,29 @@ class TestPoseStreamRoundTrip:
             assert got.rotation.tobytes() == pose.rotation.tobytes()
             assert got.translation.tobytes() == pose.translation.tobytes()
         np.testing.assert_array_equal(
-            np.stack([r.truth.acceleration for r in back]), truth.acceleration
+            np.concatenate([r.truth.acceleration for r in back]), truth.acceleration
         )
+
+    @pytest.mark.parametrize("with_truth", [True, False])
+    def test_a_batch_record_writes_the_lines_of_its_poses(self, with_truth):
+        # A record longer than a write slice: the same bytes as one record per pose.
+        poses, truth = generate_trajectory(ScenarioSpec(kind="arc", frames=2 * _CHUNK_ROWS + 3))
+        rows = [None if not with_truth else TrajectoryTruth(
+            truth.position[i:i + 1], truth.velocity[i:i + 1], truth.acceleration[i:i + 1])
+            for i in range(len(poses))]
+        whole, single = io.StringIO(), io.StringIO()
+        assert write_pose_stream(
+            whole, records_from_poses(poses, truth if with_truth else None)) == len(poses)
+        write_pose_stream(single, map(PoseStreamRecord, poses, rows))
+        assert whole.getvalue() == single.getvalue()
+        back = list(load_pose_stream(io.StringIO(whole.getvalue())))
+        assert [r.pose for r in back] == list(poses)
+        assert all((r.truth is not None) == with_truth for r in back)
+
+    def test_truth_needs_a_row_per_pose(self):
+        poses, truth = generate_trajectory(ScenarioSpec(kind="arc", frames=3))
+        with pytest.raises(ValueError, match="a row of 3 per pose, 2 rows"):
+            write_pose_stream(io.StringIO(), [PoseStreamRecord(poses[1:], truth)])
 
     def test_write_to_open_file(self):
         poses, _ = generate_trajectory(ScenarioSpec(kind="arc", frames=3))
@@ -289,7 +311,7 @@ class TestPoseChunks:
                                           ).reshape(-1, 3, 3),
                           np.array([t for _, t, _ in records]).reshape(-1, 3))
         written = [PoseStreamRecord(pose, None if truth is None else
-                                    TrajectoryTruth(*np.array(truth).reshape(3, 3)))
+                                    TrajectoryTruth(*np.array(truth).reshape(3, 1, 3)))
                    for pose, (_, _, truth) in zip(poses, records)]
         buf = io.StringIO()
         assert write_pose_stream(buf, written) == len(written)
@@ -654,10 +676,8 @@ class TestAtomicTextFiles:
     @staticmethod
     def interrupted_records(n):
         poses, _ = generate_trajectory(ScenarioSpec(kind="arc", frames=10))
-        for i, record in enumerate(records_from_poses(poses)):
-            if i == n:
-                raise KeyboardInterrupt
-            yield record
+        yield from records_from_poses(poses[:n])
+        raise KeyboardInterrupt
 
     @pytest.mark.parametrize("old", [None, "old stream\n"])
     def test_interrupted_pose_stream_leaves_the_old_file(self, tmp_path, old):
