@@ -1,6 +1,7 @@
 """In-process throughput rows, one JSON line each, best of REPEATS (default 3).
 
-Usage: PYTHONPATH=src python3 scripts/bench_rows.py [REPEATS]
+Usage: python3 scripts/bench_rows.py [REPEATS]
+Imports ego_focus from the checkout's src/, ahead of any installed copy, as perfbench/run.py does.
 
 jsonl_write (write_pose_stream of the whole batch as one record), jsonl_load_records
 (load_pose_stream + to_pose) and jsonl_load_batches (load_pose_batches, the `run` loader; null
@@ -16,8 +17,9 @@ src_lines is wc -l of the imported ego_focus/*.py.
 import contextlib, io, json, os, sys, tempfile, threading, time  # noqa: E401
 from pathlib import Path
 
-from ego_focus import cli, pipeline, simulate, streams
-from ego_focus.geometry import Intrinsics
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+from ego_focus import cli, pipeline, simulate, streams  # noqa: E402
+from ego_focus.geometry import Intrinsics  # noqa: E402
 
 
 def best_rate(count, fn, repeats):

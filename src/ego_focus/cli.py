@@ -26,7 +26,6 @@ def _add_run_parser(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--window-size", type=int)
     p.add_argument("--overlap", type=int)
     p.add_argument("--focus-n", type=int, help="trailing frames aggregated per map")
-    p.add_argument("--sigma-px", type=float, help="kernel sigma in pixels (default: 0.04 * width)")
     p.add_argument("--smooth-positions", action="store_true",
                    help="moving-average centers (width 3) before differencing")
     p.add_argument("--anchor-mode", choices=["first", "last"])

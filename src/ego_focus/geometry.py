@@ -130,6 +130,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _require_frame(key: str, value) -> None:
+    # int() would truncate a float (1.5 to frame 1) and turn True into frame 1.
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
 class PoseBatch:
     """World-to-camera poses of consecutive frames, as one structure of arrays.
 
@@ -145,6 +151,7 @@ class PoseBatch:
     __slots__ = ("first_frame", "rotations", "translations")
 
     def __init__(self, first_frame: int, rotations: np.ndarray, translations: np.ndarray):
+        _require_frame("first_frame", first_frame)
         n = len(rotations)
         if not 0 <= first_frame <= FRAME_LIMIT - n:
             raise ValueError(f"first_frame must be >= 0 and first_frame + rows <= 2**63, "
@@ -241,6 +248,7 @@ class CameraPose(PoseBatch):
     __slots__ = ()
 
     def __init__(self, frame_index: int, rotation: np.ndarray, translation: np.ndarray):
+        _require_frame("frame_index", frame_index)
         if not 0 <= frame_index < FRAME_LIMIT:
             raise ValueError(f"frame_index must be >= 0 and < 2**63, got {frame_index}")
         r = np.asarray(rotation, dtype=np.float64)
@@ -420,6 +428,7 @@ class Intrinsics:
 
     def scaled(self, divisor: int) -> "Intrinsics":
         """Intrinsics of the same camera rendered at 1/divisor scale."""
+        require_integer("map_scale", divisor)
         if divisor < 1:
             raise ConfigError("map_scale", f"must be >= 1, got {divisor}")
         return Intrinsics(

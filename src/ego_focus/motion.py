@@ -53,16 +53,15 @@ _EMPTY: Footprint = (slice(0, 0), slice(0, 0))
 
 @dataclass(frozen=True, slots=True)
 class FocusConfig:
-    """Knobs for focus-point extraction and map rendering.
+    """Samples per map and kernel width of a focus map.
 
-    n_points is a run's trailing-window length: the samples per map.
+    n_points is the trailing-window length (a run takes RunConfig.focus_n).
     sigma_px = None resolves to SIGMA_WIDTH_FRACTION * image width at
     render time.
     """
 
     n_points: int = DEFAULT_FOCUS_N
     sigma_px: Optional[float] = None
-    smooth_positions: bool = False
 
     def __post_init__(self):
         require_integer("n_points", self.n_points)
@@ -72,7 +71,6 @@ class FocusConfig:
             require_number("sigma_px", self.sigma_px)
             if self.sigma_px <= 0:
                 raise ConfigError("sigma_px", f"must be > 0, got {self.sigma_px}")
-        require_bool("smooth_positions", self.smooth_positions)
 
     def resolved_sigma(self, width: int) -> float:
         return self.sigma_px if self.sigma_px is not None else SIGMA_WIDTH_FRACTION * width
@@ -271,16 +269,17 @@ class MotionStream:
     results are bit-identical however the stream is chunked.
     """
 
-    def __init__(self, k: Intrinsics, cfg: FocusConfig):
+    def __init__(self, k: Intrinsics, smooth_positions: bool = False):
+        require_bool("smooth_positions", smooth_positions)
         self.k = k
-        self.cfg = cfg
+        self.smooth_positions = smooth_positions
         self._raw = np.empty((0, 3))          # last <= 2 raw centers
         self._seq = np.empty((0, 3))          # last <= 2 differencing inputs
 
     def push(self, batch: PoseBatch) -> MotionBlock:
         """Feed the poses of the next consecutive frames."""
         centers = batch.centers
-        if self.cfg.smooth_positions:
+        if self.smooth_positions:
             # Causal moving average of width 3, partial at the stream head.
             # Fewer than two carried rows means raw starts at the stream
             # head; otherwise rows 0 and 1 are carried and dropped.

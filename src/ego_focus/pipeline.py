@@ -44,7 +44,7 @@ from .errors import ConfigError, StreamFormatError
 from .geometry import Intrinsics, PoseBatch, require_bool, require_integer
 from .motion import (
     DEFAULT_FOCUS_N,
-    FocusConfig,
+    SIGMA_WIDTH_FRACTION,
     MotionBlock,
     MotionStream,
     _render_arrays,
@@ -95,7 +95,6 @@ class RunConfig:
     window_size: int = DEFAULT_WINDOW_SIZE
     overlap: int = DEFAULT_OVERLAP
     focus_n: int = DEFAULT_FOCUS_N
-    sigma_px: Optional[float] = None
     smooth_positions: bool = False
     anchor_mode: str = "last"
     scale_correction: bool = False
@@ -114,21 +113,16 @@ class RunConfig:
             raise ConfigError("anchor_mode", f"must be 'first' or 'last', got {self.anchor_mode!r}")
         require_bool("scale_correction", self.scale_correction)
         require_bool("emit_float_maps", self.emit_float_maps)
-        # Window constraints are validated by WindowPlan, focus knobs by
-        # FocusConfig, a thread count by resolve_threads; run all three
-        # eagerly so bad values fail here.
+        # Window constraints are validated by WindowPlan, a thread count by
+        # resolve_threads; run both eagerly so bad values fail here.
         self.plan()
-        self.focus_config()
+        require_bool("smooth_positions", self.smooth_positions)
         if self.threads is not None:
             require_integer("threads", self.threads)
             resolve_threads(self.threads)
 
     def plan(self) -> WindowPlan:
         return WindowPlan(self.window_size, self.overlap)
-
-    def focus_config(self) -> FocusConfig:
-        return FocusConfig(n_points=self.focus_n, sigma_px=self.sigma_px,
-                           smooth_positions=self.smooth_positions)
 
 
 @dataclass(slots=True)
@@ -246,7 +240,7 @@ def _stitched_blocks(batches: Iterable[PoseBatch], intrinsics: Intrinsics, cfg: 
 
     Every window goes through this module's stitch_step, then MotionStream.push."""
     plan = cfg.plan()
-    motion = MotionStream(intrinsics, cfg.focus_config())
+    motion = MotionStream(intrinsics, cfg.smooth_positions)
     for batch in batches:
         state, emitted = stitch_step(state, batch, plan, anchor_mode=cfg.anchor_mode,
                                      scale_correction=cfg.scale_correction)
@@ -282,12 +276,11 @@ def run_stream_batches(batches: Iterable[PoseBatch], intrinsics: Intrinsics,
         raise ConfigError("map_scale", f"{map_k.width}x{map_k.height} float64 maps are too big "
                                        "for an array; use a larger value")
     os.makedirs(out_dir, exist_ok=True)
-    fcfg = cfg.focus_config()
-    sigma = fcfg.resolved_sigma(intrinsics.width) / cfg.map_scale
+    sigma = SIGMA_WIDTH_FRACTION * intrinsics.width / cfg.map_scale
     writer = _FrameWriter(out_dir, map_k, sigma, cfg.emit_float_maps, depth_dir)
 
     state = StitchState()
-    # The last n_points samples, carried as MotionStream carries its rows:
+    # The last focus_n samples, carried as MotionStream carries its rows:
     # u and v at map scale and magnitude, and whether each is projectable.
     tail_pts, tail_ok = np.empty((0, 3)), np.empty(0, dtype=bool)
     summary = RunSummary()
@@ -344,7 +337,7 @@ def run_stream_batches(batches: Iterable[PoseBatch], intrinsics: Intrinsics,
             rows = np.column_stack([block.uv / cfg.map_scale, block.magnitude])
             pts, ok = np.concatenate([tail_pts, rows]), np.concatenate([tail_ok, block.projectable])
             for e, frame in enumerate(block.frames.tolist(), len(tail_ok)):
-                lo = max(0, e + 1 - fcfg.n_points)  # the frame's window is rows lo to e
+                lo = max(0, e + 1 - cfg.focus_n)  # the frame's window is rows lo to e
                 # A repeat frame: its sample is not projectable, and neither is
                 # the one it evicts (row lo - 1), if any, so its map has the
                 # previous frame's projectable points and bytes. A depth output
@@ -358,7 +351,7 @@ def run_stream_batches(batches: Iterable[PoseBatch], intrinsics: Intrinsics,
                 while len(pending) >= max_inflight:
                     _finish(*pending.popleft())
             # The next frame evicts the first of these rows.
-            tail_pts, tail_ok = pts[-fcfg.n_points:].copy(), ok[-fcfg.n_points:].copy()
+            tail_pts, tail_ok = pts[-cfg.focus_n:].copy(), ok[-cfg.focus_n:].copy()
         while pending:
             _finish(*pending.popleft())
 

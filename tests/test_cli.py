@@ -421,27 +421,14 @@ class TestRun:
         assert (out_dir / "focus_000054.pgm").exists()
 
     @pytest.mark.parametrize("flag,value", [
-        ("--sigma-px", "inf"), ("--sigma-px", "nan"),
-    ])
-    def test_non_finite_focus_knob_fails_cleanly(self, tmp_path, capsys, flag, value):
-        poses = sim(tmp_path)
-        k_path = tmp_path / "k.json"
-        write_intrinsics(WIDE, k_path)
-        rc = main([
-            "run", "--poses", str(poses), "--intrinsics", str(k_path),
-            "--out-dir", str(tmp_path / "o"), flag, value,
-        ])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith(f"error: {flag[2:].replace('-', '_')}: ")
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("flag,value", [
         ("--normalize", "sum"), ("--eps-z", "1e-3"), ("--project-negative", "mirror"),
+        ("--sigma-px", "8"),
     ])
     def test_normalize_is_not_an_option(self, tmp_path, capsys, flag, value):
         # a map is always divided by its peak (a distribution is an .mfm map
-        # divided by its sum), and a sample projects only when its depth
-        # exceeds DEFAULT_EPS_Z
+        # divided by its sum), a sample projects only when its depth exceeds
+        # DEFAULT_EPS_Z, and the run's kernel width is SIGMA_WIDTH_FRACTION
+        # of the image width
         poses = sim(tmp_path)
         k_path = tmp_path / "k.json"
         write_intrinsics(WIDE, k_path)
@@ -677,14 +664,13 @@ class TestParser:
     def test_configuration_surface_is_pinned(self):
         # A change that adds or drops a setting has to change these lists on purpose.
         assert [f.name for f in dataclasses.fields(RunConfig)] == [
-            "window_size", "overlap", "focus_n", "sigma_px", "smooth_positions",
+            "window_size", "overlap", "focus_n", "smooth_positions",
             "anchor_mode", "scale_correction", "map_scale", "emit_float_maps", "threads"]
-        assert [f.name for f in dataclasses.fields(FocusConfig)] == [
-            "n_points", "sigma_px", "smooth_positions"]
+        assert [f.name for f in dataclasses.fields(FocusConfig)] == ["n_points", "sigma_px"]
         sub = next(a for a in build_parser()._actions if a.dest == "command")
         assert [a.option_strings[-1] for a in sub.choices["run"]._actions] == [
             "--help", "--poses", "--intrinsics", "--out-dir", "--window-size", "--overlap",
-            "--focus-n", "--sigma-px", "--smooth-positions", "--anchor-mode",
+            "--focus-n", "--smooth-positions", "--anchor-mode",
             "--scale-correction", "--residuals", "--map-scale", "--depth-dir",
             "--emit-float-maps", "--threads"]
 

@@ -6,6 +6,7 @@ import pytest
 
 from ego_focus import (
     CameraPose,
+    ConfigError,
     GravityYpr,
     Intrinsics,
     InvalidPoseError,
@@ -56,6 +57,14 @@ class TestCameraPose:
         for first in (-1, last):
             with pytest.raises(ValueError, match="first_frame must be >= 0"):
                 PoseBatch(first, *two)
+        # a float or a bool is not a frame number, even where int() takes it
+        for frame in (2.7, 2.0, True):
+            with pytest.raises(ValueError, match=f"^frame_index must be an integer, got {frame}$"):
+                CameraPose(frame, np.eye(3), np.zeros(3))
+        for first in (1.5, np.float64(1.0), False):
+            with pytest.raises(ValueError, match="^first_frame must be an integer, got"):
+                PoseBatch(first, *two)
+        assert PoseBatch(np.int64(3), *two).first_frame == 3
 
     def test_rejects_non_orthonormal(self):
         bad = np.eye(3)
@@ -422,6 +431,16 @@ class TestIntrinsics:
         assert half.fx == 300.0 and half.fy == 250.0
         assert half.cx == 240.0 and half.cy == 135.0
         assert half.width == 480 and half.height == 270
+
+    def test_scaled_divisor_is_an_integer_named_map_scale(self):
+        k = Intrinsics(fx=600.0, fy=500.0, cx=480.0, cy=270.0, width=960, height=540)
+        for divisor in (2.0, 1.5, True, "2"):
+            with pytest.raises(ConfigError, match=f"^map_scale: must be an integer, got "
+                                                  f"{re.escape(repr(divisor))}$"):
+                k.scaled(divisor)
+        with pytest.raises(ConfigError, match="^map_scale: must be >= 1, got 0$"):
+            k.scaled(0)
+        assert k.scaled(np.int64(2)) == k.scaled(2)
 
 
 class TestProjection:

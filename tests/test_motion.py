@@ -41,7 +41,7 @@ def poses_at(centers, rotation=np.eye(3)):
                              for i, c in enumerate(centers)])
 
 
-def oracle_samples(poses, k, cfg):
+def oracle_samples(poses, k, smooth=False):
     """MotionStream's math one frame at a time, in plain Python floats.
 
     Centers -R^T t are summed left to right, the order of the stream's
@@ -52,7 +52,7 @@ def oracle_samples(poses, k, cfg):
     """
     c = [np.array([-((r[0][i] * t[0] + r[1][i] * t[1]) + r[2][i] * t[2]) for i in range(3)])
          for r, t in ((p.rotation.tolist(), p.translation.tolist()) for p in poses)]
-    if cfg.smooth_positions:  # causal moving average of width 3, partial at the head
+    if smooth:  # causal moving average of width 3, partial at the head
         c = c[:1] + [(c[1] + c[0]) / 2.0] + [((c[t] + c[t - 1]) + c[t - 2]) / 3.0
                                              for t in range(2, len(c))]
     rows = []
@@ -66,19 +66,19 @@ def oracle_samples(poses, k, cfg):
     return rows
 
 
-def pushed(poses, k, cfg, chunk=None):
+def pushed(poses, k, smooth=False, chunk=None):
     """One MotionBlock-like tuple of arrays from pushing poses in chunks."""
-    stream = MotionStream(k, cfg)
+    stream = MotionStream(k, smooth)
     step = chunk or len(poses)
     blocks = [stream.push(poses[i:i + step]) for i in range(0, len(poses), step)]
     return [np.concatenate([getattr(b, key) for b in blocks])
             for key in ("frames", "a_world", "a_camera", "magnitude", "uv", "projectable")]
 
 
-def check_against_oracle(poses, k, cfg, chunk=None):
+def check_against_oracle(poses, k, smooth=False, chunk=None):
     """a_world bit for bit; a_camera and magnitude within 1e-14 of |a|, uv within 1e-9 px."""
-    frames, a_w, a_c, mag, uv, ok = pushed(poses, k, cfg, chunk)
-    want = oracle_samples(poses, k, cfg)
+    frames, a_w, a_c, mag, uv, ok = pushed(poses, k, smooth, chunk)
+    want = oracle_samples(poses, k, smooth)
     assert frames.tolist() == [row[0] for row in want]
     assert a_w.tobytes() == np.stack([row[1] for row in want]).tobytes()
     scale = np.linalg.norm(a_w, axis=1)
@@ -93,11 +93,11 @@ def check_against_oracle(poses, k, cfg, chunk=None):
 
 class TestAccelerationWorld:
     def test_constant_velocity_is_zero(self):
-        block = MotionStream(K, FocusConfig()).push(poses_at([[0.0] * 3, [1.0, 0, 0], [2.0, 0, 0]]))
+        block = MotionStream(K).push(poses_at([[0.0] * 3, [1.0, 0, 0], [2.0, 0, 0]]))
         np.testing.assert_array_equal(block.a_world, np.zeros((1, 3)))
 
     def test_simple_arithmetic(self):
-        block = MotionStream(K, FocusConfig()).push(poses_at([[0.0] * 3, [1.0, 0, 0], [3.0, 0, 0]]))
+        block = MotionStream(K).push(poses_at([[0.0] * 3, [1.0, 0, 0], [3.0, 0, 0]]))
         assert block.frames.tolist() == [2]
         np.testing.assert_array_equal(block.a_world, [[1.0, 0.0, 0.0]])
 
@@ -108,7 +108,7 @@ class TestAccelerationWorld:
 
         rng = np.random.default_rng(12)
         poses = PoseBatch.concat([random_pose(rng, frame_index=i) for i in range(100)])
-        check_against_oracle(poses, K, FocusConfig())
+        check_against_oracle(poses, K)
 
     def test_circular_arc_matches_closed_form(self):
         # p(t) = (r sin wt, 0, r cos wt): the discrete second difference is
@@ -117,7 +117,7 @@ class TestAccelerationWorld:
         centers = [
             np.array([r * math.sin(w * t), 0.0, r * math.cos(w * t)]) for t in range(3)
         ]
-        a_w = MotionStream(K, FocusConfig()).push(poses_at(centers)).a_world[0]
+        a_w = MotionStream(K).push(poses_at(centers)).a_world[0]
         np.testing.assert_allclose(
             a_w, -2.0 * (1.0 - math.cos(w)) * centers[1], rtol=0, atol=1e-15
         )
@@ -129,7 +129,7 @@ class TestAccelerationWorld:
 
 class TestAccelerationCamera:
     def test_identity_rotation(self):
-        block = MotionStream(K, FocusConfig()).push(
+        block = MotionStream(K).push(
             poses_at([np.zeros(3), [1.0, 0.0, 1.0], [3.0, 2.0, 4.0]]))
         np.testing.assert_array_equal(block.a_camera, block.a_world)
 
@@ -137,7 +137,7 @@ class TestAccelerationCamera:
         # R_Y(90 deg) sends +x to -z
         poses = poses_at([np.zeros(3), np.zeros(3), [1.0, 0.0, 0.0]],
                          rotation_about_gravity(math.pi / 2))
-        block = MotionStream(K, FocusConfig()).push(poses)
+        block = MotionStream(K).push(poses)
         np.testing.assert_allclose(block.a_camera, [[0.0, 0.0, -1.0]], rtol=0, atol=1e-15)
 
     def test_norm_preserved(self):
@@ -145,7 +145,7 @@ class TestAccelerationCamera:
         from tests.test_geometry import random_pose
 
         poses = PoseBatch.concat([random_pose(rng, frame_index=i) for i in range(52)])
-        block = MotionStream(K, FocusConfig()).push(poses)
+        block = MotionStream(K).push(poses)
         np.testing.assert_allclose(block.magnitude, np.linalg.norm(block.a_world, axis=1),
                                    rtol=1e-12, atol=0)
 
@@ -154,7 +154,7 @@ class TestFocusPoint:
     @staticmethod
     def point(a_c, k=K):
         """The focus point of one sample whose camera-frame acceleration is a_c."""
-        block = MotionStream(k, FocusConfig()).push(poses_at([np.zeros(3), np.zeros(3), a_c]))
+        block = MotionStream(k).push(poses_at([np.zeros(3), np.zeros(3), a_c]))
         return block.focus_points()[0]
 
     def test_straight_ahead_hits_principal_point(self):
@@ -486,15 +486,12 @@ class TestFocusConfigValidation:
         assert FocusConfig(n_points=np.int32(3)).n_points == 3
         with pytest.raises(ConfigError, match="sigma_px"):
             FocusConfig(sigma_px=0.0)
-        # an on/off setting is a bool; a number setting is a finite number, not True
+        # a number setting is a finite number, not True
         for key, value, message in (
-                ("smooth_positions", "no", "must be True or False, got 'no'"),
-                ("smooth_positions", 1, "must be True or False, got 1"),
                 ("sigma_px", True, "must be a finite number, got True"),
                 ("sigma_px", math.inf, "must be a finite number, got inf")):
             with pytest.raises(ConfigError, match=f"^{key}: {re.escape(message)}$"):
                 FocusConfig(**{key: value})
-        assert FocusConfig(smooth_positions=np.True_).smooth_positions
 
 
 def arc_poses(frames, omega=0.05, seed=7):
@@ -508,7 +505,7 @@ WIDE = Intrinsics(fx=10.0, fy=10.0, cx=320.0, cy=240.0, width=640, height=480)
 
 class TestMotionStream:
     def test_first_two_frames_produce_nothing(self):
-        stream = MotionStream(WIDE, FocusConfig())
+        stream = MotionStream(WIDE)
         poses = arc_poses(5)
         assert len(stream.push(poses[:1])) == 0
         assert len(stream.push(poses[1:2])) == 0
@@ -517,13 +514,13 @@ class TestMotionStream:
 
     def test_matches_scalar_path_bitwise(self):
         # the per-frame oracle is the scalar path
-        check_against_oracle(arc_poses(60), WIDE, FocusConfig())
+        check_against_oracle(arc_poses(60), WIDE)
 
     def test_chunking_is_bit_invariant(self):
         poses = arc_poses(200)
-        whole = MotionStream(WIDE, FocusConfig()).push(poses)
+        whole = MotionStream(WIDE).push(poses)
         for step in (1, 7, 64):
-            stream = MotionStream(WIDE, FocusConfig())
+            stream = MotionStream(WIDE)
             blocks = [stream.push(poses[i:i + step]) for i in range(0, 200, step)]
             frames = np.concatenate([b.frames for b in blocks if len(b)])
             a_w = np.concatenate([b.a_world for b in blocks if len(b)])
@@ -534,25 +531,33 @@ class TestMotionStream:
 
     def test_focus_points_accessor(self):
         poses = arc_poses(10)
-        block = MotionStream(WIDE, FocusConfig()).push(poses)
+        block = MotionStream(WIDE).push(poses)
         pts = block.focus_points()
         assert [p.frame_index for p in pts] == list(range(2, 10))
         assert all(p.projectable for p in pts)
 
     def test_smoothing_changes_output_and_is_chunk_invariant(self):
         poses = arc_poses(120)
-        rough = MotionStream(WIDE, FocusConfig()).push(poses)
-        cfg = FocusConfig(smooth_positions=True)
-        smooth_whole = MotionStream(WIDE, cfg).push(poses)
+        rough = MotionStream(WIDE).push(poses)
+        smooth_whole = MotionStream(WIDE, True).push(poses)
         assert smooth_whole.a_world.tobytes() != rough.a_world.tobytes()
-        stream = MotionStream(WIDE, cfg)
+        stream = MotionStream(WIDE, True)
         blocks = [stream.push(poses[i:i + 13]) for i in range(0, 120, 13)]
         a_w = np.concatenate([b.a_world for b in blocks if len(b)])
         assert a_w.tobytes() == smooth_whole.a_world.tobytes()
 
+    def test_smooth_positions_must_be_a_bool(self):
+        # an on/off setting is a bool, so a FocusConfig passed in its place
+        # fails instead of running unsmoothed
+        for value in ("no", 1, FocusConfig()):
+            message = f"smooth_positions: must be True or False, got {value!r}"
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                MotionStream(WIDE, value)
+        assert MotionStream(WIDE, np.True_).smooth_positions
+
     def test_smoothed_arc_still_points_inward(self):
         poses = arc_poses(60)
-        block = MotionStream(WIDE, FocusConfig(smooth_positions=True)).push(poses)
+        block = MotionStream(WIDE, True).push(poses)
         assert bool(block.projectable.all())
 
 
@@ -564,9 +569,8 @@ class TestStreamAgainstOracle:
         spec = ScenarioSpec(kind="head_yaw_divergence", frames=150, seed=4,
                             bob_amplitude=0.002, jitter_amplitude_rad=0.003)
         poses, _ = generate_trajectory(spec)
-        cfg = FocusConfig(smooth_positions=smooth)
         for chunk in (None, 1, 7):
-            ok, _ = check_against_oracle(poses, WIDE, cfg, chunk)
+            ok, _ = check_against_oracle(poses, WIDE, smooth, chunk)
             assert ok.any()
         assert not ok.all()
 
@@ -576,9 +580,8 @@ class TestStreamAgainstOracle:
         rng = np.random.default_rng(3)
         accelerations = rng.standard_normal((300, 3)) * [1.0, 1.0, 3e-6]
         poses = poses_at(np.cumsum(np.cumsum(accelerations, axis=0), axis=0))
-        cfg = FocusConfig()
-        ok, _ = check_against_oracle(poses, WIDE, cfg, chunk=11)
-        depth = MotionStream(WIDE, cfg).push(poses).a_camera[:, 2]
+        ok, _ = check_against_oracle(poses, WIDE, chunk=11)
+        depth = MotionStream(WIDE).push(poses).a_camera[:, 2]
         near = np.abs(depth) <= DEFAULT_EPS_Z
         assert near.any() and not ok[near].any()
         assert ok[depth > DEFAULT_EPS_Z].all()
@@ -588,7 +591,7 @@ class TestStreamAgainstOracle:
         # braking straight ahead: a_camera is (0, 0, -decel) until the stop
         spec = ScenarioSpec(kind="brake", frames=30, speed=0.2, decel=0.01)
         poses, _ = generate_trajectory(spec)
-        ok, _ = check_against_oracle(poses, K, FocusConfig())
+        ok, _ = check_against_oracle(poses, K)
         assert not ok.any()
 
     @pytest.mark.parametrize("smooth", [False, True])
@@ -598,13 +601,12 @@ class TestStreamAgainstOracle:
         spec = ScenarioSpec(kind="head_yaw_divergence", frames=40, seed=4,
                             bob_amplitude=0.002, jitter_amplitude_rad=0.003)
         poses, _ = generate_trajectory(spec)
-        cfg = FocusConfig(smooth_positions=smooth)
-        check_against_oracle(poses, WIDE, cfg)
-        whole = MotionStream(WIDE, cfg).push(poses)
+        check_against_oracle(poses, WIDE, smooth)
+        whole = MotionStream(WIDE, smooth).push(poses)
         keys = ("frames", "a_world", "a_camera", "magnitude", "uv", "projectable")
         for sizes in ([0, 1, 0, 1, 2, 0, 1, 5, 0, 2, 1], [2, 0, 2, 0, 0, 1, 3, 1],
                       [1, 1, 1, 0, 2, 2, 1, 0], [0, 0, 3, 0, 2, 2]):
-            stream = MotionStream(WIDE, cfg)
+            stream = MotionStream(WIDE, smooth)
             blocks, start = [stream.push(PoseBatch.concat([]))], 0
             for size in sizes + [len(poses)]:
                 blocks.append(stream.push(poses[start:start + size]))
@@ -641,8 +643,8 @@ class TestMotionInvariants:
     def test_translation_invariance(self):
         poses = arc_poses(80)
         shifted = self.offset_poses(poses, np.array([12.5, -3.0, 40.0]))
-        a = MotionStream(WIDE, FocusConfig()).push(poses)
-        b = MotionStream(WIDE, FocusConfig()).push(shifted)
+        a = MotionStream(WIDE).push(poses)
+        b = MotionStream(WIDE).push(shifted)
         np.testing.assert_allclose(b.a_world, a.a_world, rtol=0, atol=1e-12)
         # the 40-unit offset costs ~1e-14 absolute in a_w, which the small
         # a_z of this arc amplifies to ~1e-8 px; anything structural would
@@ -661,8 +663,8 @@ class TestMotionInvariants:
                     translation=-p.rotation @ (lam * p.center),
                 )
             )
-        a = MotionStream(WIDE, FocusConfig()).push(poses)
-        b = MotionStream(WIDE, FocusConfig()).push(PoseBatch.concat(scaled))
+        a = MotionStream(WIDE).push(poses)
+        b = MotionStream(WIDE).push(PoseBatch.concat(scaled))
         np.testing.assert_allclose(
             b.magnitude, lam * a.magnitude, rtol=1e-9
         )
@@ -674,7 +676,7 @@ class TestMotionInvariants:
     def test_uniform_velocity_gives_no_projectable_points(self):
         spec = ScenarioSpec(kind="constant_velocity", frames=100, speed=0.1, seed=1)
         poses, _ = generate_trajectory(spec)
-        block = MotionStream(K, FocusConfig()).push(poses)
+        block = MotionStream(K).push(poses)
         assert np.abs(block.a_world).max() <= 1e-12
         assert not block.projectable.any()
         fmap = render_focus_map(block.focus_points(), K, FocusConfig())

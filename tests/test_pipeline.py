@@ -151,7 +151,6 @@ class TestRunConfig:
         assert cfg.focus_n == 15
         assert cfg.plan().stride == 55
         assert len(plan_windows(600, cfg.window_size, cfg.overlap).windows()) == 11
-        assert cfg.focus_config().n_points == 15
 
     def test_bad_values_rejected_eagerly(self):
         with pytest.raises(ConfigError):
@@ -169,12 +168,11 @@ class TestRunConfig:
             with pytest.raises(ConfigError, match=f"^{key}: must be an integer, got {value!r}$"):
                 RunConfig(**{key: value})
         assert RunConfig(map_scale=np.int64(2), focus_n=np.int32(3), threads=np.uint8(2))
-        # on/off settings are bools, not truthy values; sigma_px is a number
+        # on/off settings are bools, not truthy values
         for key, value, message in (
                 ("scale_correction", "no", "must be True or False, got 'no'"),
                 ("smooth_positions", "no", "must be True or False, got 'no'"),
-                ("emit_float_maps", 1, "must be True or False, got 1"),
-                ("sigma_px", "a", "must be a finite number, got 'a'")):
+                ("emit_float_maps", 1, "must be True or False, got 1")):
             with pytest.raises(ConfigError, match=f"^{key}: {re.escape(message)}$"):
                 RunConfig(**{key: value})
         assert RunConfig(scale_correction=np.True_, emit_float_maps=np.False_)

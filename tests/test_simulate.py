@@ -6,7 +6,6 @@ import pytest
 
 from ego_focus import (
     ConfigError,
-    FocusConfig,
     Intrinsics,
     InvalidPoseError,
     ScenarioSpec,
@@ -115,7 +114,7 @@ class TestCircularArc:
 
         for omega, side in ((0.05, 1.0), (-0.05, -1.0)):
             poses, _ = generate_trajectory(ScenarioSpec(kind="arc", frames=50, omega=omega))
-            block = MotionStream(WIDE, FocusConfig()).push(poses)
+            block = MotionStream(WIDE).push(poses)
             assert block.projectable.all()
             assert ((block.uv[:, 0] - WIDE.cx) * side > 0.0).all()
 
@@ -294,7 +293,7 @@ class TestOracleAgainstDiscretePipeline:
 
         spec = ScenarioSpec(kind="arc", frames=100, radius=2.0, omega=0.05)
         poses, truth = generate_trajectory(spec)
-        block = MotionStream(WIDE, FocusConfig()).push(poses)
+        block = MotionStream(WIDE).push(poses)
         for i, t in enumerate(block.frames):
             uv = oracle_focus_point(truth.acceleration[t - 1], poses[t], WIDE)
             assert abs(block.uv[i, 0] - uv[0]) < 1e-6

@@ -742,12 +742,12 @@ class TestOutputNames:
 
 class TestCsvWriters:
     def test_focus_point_csv(self):
-        from ego_focus import FocusConfig, MotionStream
+        from ego_focus import MotionStream
 
         spec = ScenarioSpec(kind="arc", frames=6, radius=2.0, omega=0.05)
         poses, _ = generate_trajectory(spec)
         wide = Intrinsics(10.0, 10.0, 320.0, 240.0, 640, 480)
-        block = MotionStream(wide, FocusConfig()).push(poses)
+        block = MotionStream(wide).push(poses)
         buf = io.StringIO()
         writer = FocusPointCsvWriter(buf)
         writer.write_block(block)
@@ -761,12 +761,12 @@ class TestCsvWriters:
         assert first[7] == "1"
 
     def test_non_projectable_rows_have_empty_uv(self):
-        from ego_focus import FocusConfig, MotionStream
+        from ego_focus import MotionStream
 
         spec = ScenarioSpec(kind="brake", frames=8, speed=0.2, decel=0.01)
         poses, _ = generate_trajectory(spec)
         k = Intrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)
-        block = MotionStream(k, FocusConfig()).push(poses)
+        block = MotionStream(k).push(poses)
         buf = io.StringIO()
         writer = FocusPointCsvWriter(buf)
         writer.write_block(block)
