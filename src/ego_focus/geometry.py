@@ -303,6 +303,18 @@ class RigidTransform:
     translation: np.ndarray
 
 
+def compose_world_map(batch: PoseBatch, world_map: RigidTransform,
+                      scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Rotations and translations of the poses T o D for a world-side rigid map D.
+
+    Row i maps a world point x to ``R_i @ (R_D @ x + t_D) + scale * t_i``:
+    the translations are scaled first, Sim(3)-style, so rotations stay
+    orthonormal.
+    """
+    return (batch.rotations @ world_map.rotation,
+            scale * batch.translations + batch.rotations @ world_map.translation)
+
+
 @dataclass(frozen=True, slots=True)
 class GravityYpr:
     """Gravity-referenced yaw/pitch/roll, order yaw o pitch o roll."""
@@ -380,6 +392,12 @@ def require_integer(key: str, value) -> None:
         raise ConfigError(key, f"must be an integer, got {value!r}")
 
 
+def require_count(key: str, value) -> None:
+    require_integer(key, value)
+    if value < 1:
+        raise ConfigError(key, f"must be >= 1, got {value}")
+
+
 def require_number(key: str, value) -> None:
     # Compared exactly, so an int too large for float64 fails, as NaN and inf do.
     if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool) \
@@ -428,9 +446,7 @@ class Intrinsics:
 
     def scaled(self, divisor: int) -> "Intrinsics":
         """Intrinsics of the same camera rendered at 1/divisor scale."""
-        require_integer("map_scale", divisor)
-        if divisor < 1:
-            raise ConfigError("map_scale", f"must be >= 1, got {divisor}")
+        require_count("map_scale", divisor)
         return Intrinsics(
             fx=self.fx / divisor,
             fy=self.fy / divisor,

@@ -27,7 +27,7 @@ from .geometry import (
     PoseBatch,
     project_pinhole_many,
     require_bool,
-    require_integer,
+    require_count,
     require_number,
     window_median,
 )
@@ -64,9 +64,7 @@ class FocusConfig:
     sigma_px: Optional[float] = None
 
     def __post_init__(self):
-        require_integer("n_points", self.n_points)
-        if self.n_points < 1:
-            raise ConfigError("n_points", f"must be >= 1, got {self.n_points}")
+        require_count("n_points", self.n_points)
         if self.sigma_px is not None:
             require_number("sigma_px", self.sigma_px)
             if self.sigma_px <= 0:

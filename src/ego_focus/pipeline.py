@@ -41,7 +41,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .errors import ConfigError, StreamFormatError
-from .geometry import Intrinsics, PoseBatch, require_bool, require_integer
+from .geometry import Intrinsics, PoseBatch, require_bool, require_count, require_integer
 from .motion import (
     DEFAULT_FOCUS_N,
     SIGMA_WIDTH_FRACTION,
@@ -103,12 +103,8 @@ class RunConfig:
     threads: Optional[int] = None
 
     def __post_init__(self):
-        require_integer("focus_n", self.focus_n)
-        if self.focus_n < 1:
-            raise ConfigError("focus_n", f"must be >= 1, got {self.focus_n}")
-        require_integer("map_scale", self.map_scale)
-        if self.map_scale < 1:
-            raise ConfigError("map_scale", f"must be >= 1, got {self.map_scale}")
+        require_count("focus_n", self.focus_n)
+        require_count("map_scale", self.map_scale)
         if self.anchor_mode not in ("first", "last"):
             raise ConfigError("anchor_mode", f"must be 'first' or 'last', got {self.anchor_mode!r}")
         require_bool("scale_correction", self.scale_correction)

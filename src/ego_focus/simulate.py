@@ -31,6 +31,8 @@ from .geometry import (
     PoseBatch,
     RigidTransform,
     compose_gravity_ypr,
+    compose_world_map,
+    require_count,
     require_integer,
     require_number,
     rotation_about_gravity,
@@ -282,9 +284,7 @@ def generate_trajectory(spec: ScenarioSpec) -> tuple[PoseBatch, TrajectoryTruth]
 def iter_trajectory(spec: ScenarioSpec, chunk_size: int = 512
                     ) -> Iterator[tuple[PoseBatch, TrajectoryTruth]]:
     """Checked chunks with bounded memory; chunking never changes values."""
-    require_integer("chunk_size", chunk_size)
-    if chunk_size < 1:
-        raise ConfigError("chunk_size", f"must be >= 1, got {chunk_size}")
+    require_count("chunk_size", chunk_size)
     noise = _noise_draws(spec.seed)
     for start in range(0, spec.frames, chunk_size):
         yield _poses_for_range(spec, noise, start, min(start + chunk_size, spec.frames))
@@ -337,11 +337,5 @@ def perturb_batches(batches: Sequence[PoseBatch],
             continue
         d = RigidTransform(compose_gravity_ypr(yaw, pitch, roll), trans)
         disturbances.append(d)
-        out_batches.append(_compose_batch_world(batch, d))
+        out_batches.append(PoseBatch(batch.first_frame, *compose_world_map(batch, d)))
     return out_batches, disturbances
-
-
-def _compose_batch_world(batch: PoseBatch, d: RigidTransform) -> PoseBatch:
-    """World-to-camera poses composed with a world-side map: T o D."""
-    return PoseBatch(batch.first_frame, np.matmul(batch.rotations, d.rotation),
-                     np.matmul(batch.rotations, d.translation) + batch.translations)

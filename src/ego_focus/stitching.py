@@ -5,7 +5,7 @@ windows share O frames) and each window arrives in its own arbitrary
 local frame. The stitcher locks gravity (pitch and roll stay whatever
 each window estimated) and carries only a yaw + translation correction
 across each boundary, anchored at a single shared frame, so that the
-anchor's camera center is preserved exactly. The first window defines
+anchor's camera center is kept up to rounding. The first window defines
 the global frame; every later window emits only its new (non-overlap)
 frames, which keeps emitted indices contiguous and gap-free.
 
@@ -33,6 +33,7 @@ from .geometry import (
     PoseBatch,
     RigidTransform,
     _gravity_ypr,
+    compose_world_map,
     orthonormalize,
     require_integer,
     rotation_about_gravity,
@@ -162,20 +163,6 @@ def anchor_correction(frame: int, prev_rotation: np.ndarray, prev_center: np.nda
     return RigidTransform(r_yaw, prev_center - r_yaw @ cur_center)
 
 
-def _apply_correction(batch: PoseBatch, correction: RigidTransform,
-                      scale: float = 1.0) -> PoseBatch:
-    """Corrected poses T_global = T_local o correction^-1, all rows at once.
-
-    With scale s != 1 the local translations are rescaled first, the
-    standard Sim(3)-style chaining that keeps rotations orthonormal.
-    """
-    # The `@` form is no shorter and rounds differently: it would move every
-    # later pose in the last bit to save a few us per boundary.
-    r_glob = np.einsum("nij,kj->nik", batch.rotations, correction.rotation)
-    t_glob = scale * batch.translations - np.einsum("nij,j->ni", r_glob, correction.translation)
-    return PoseBatch._wrap(batch.first_frame, r_glob, t_glob)
-
-
 def overlap_residual(boundary_index: int, first_frame: int,
                      prev_rotations: np.ndarray, prev_centers: np.ndarray,
                      cur_rotations: np.ndarray, cur_centers: np.ndarray) -> BoundaryResidual:
@@ -267,10 +254,13 @@ def stitch_step(state: StitchState, batch: PoseBatch, plan: WindowPlan,
         tail_centers = tail.centers
         local_centers = batch[:overlap].centers
         scale = _estimate_scale(tail_centers, local_centers) if scale_correction else 1.0
-        # The anchor centre at the scale _apply_correction gives it, so it lands exactly.
+        # The anchor centre at the scale the translations get below, so that it
+        # lands on the emitted one up to rounding.
         correction = anchor_correction(batch.first_frame + a, tail.rotations[a], tail_centers[a],
                                        batch.rotations[a], scale * local_centers[a])
-        corrected = _apply_correction(batch, correction, scale)
+        inv = correction.rotation.T  # T_global = T_local o correction^-1
+        corrected = PoseBatch._wrap(batch.first_frame, *compose_world_map(
+            batch, RigidTransform(inv, -(inv @ correction.translation)), scale))
         shared = corrected[:overlap]
         residual = overlap_residual(state.window_count - 1, tail.first_frame, tail.rotations,
                                     tail_centers, shared.rotations, shared.centers)

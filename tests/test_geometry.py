@@ -7,17 +7,28 @@ import pytest
 from ego_focus import (
     CameraPose,
     ConfigError,
+    FocusConfig,
     GravityYpr,
     Intrinsics,
     InvalidPoseError,
     PlanError,
     PoseBatch,
+    RigidTransform,
+    RunConfig,
+    ScenarioSpec,
     compose_gravity_ypr,
+    iter_trajectory,
     project_pinhole_many,
     rotation_about_gravity,
     rotation_angle,
 )
-from ego_focus.geometry import _gravity_ypr, orthonormalize, rotation_drift, window_median
+from ego_focus.geometry import (
+    _gravity_ypr,
+    compose_world_map,
+    orthonormalize,
+    rotation_drift,
+    window_median,
+)
 
 
 def random_rotation(rng):
@@ -438,9 +449,37 @@ class TestIntrinsics:
             with pytest.raises(ConfigError, match=f"^map_scale: must be an integer, got "
                                                   f"{re.escape(repr(divisor))}$"):
                 k.scaled(divisor)
-        with pytest.raises(ConfigError, match="^map_scale: must be >= 1, got 0$"):
-            k.scaled(0)
         assert k.scaled(np.int64(2)) == k.scaled(2)
+
+
+_K = Intrinsics(fx=600.0, fy=500.0, cx=480.0, cy=270.0, width=960, height=540)
+
+
+@pytest.mark.parametrize("key, make", [
+    pytest.param("focus_n", lambda v: RunConfig(focus_n=v), id="RunConfig.focus_n"),
+    pytest.param("map_scale", lambda v: RunConfig(map_scale=v), id="RunConfig.map_scale"),
+    pytest.param("map_scale", _K.scaled, id="Intrinsics.scaled"),
+    pytest.param("n_points", lambda v: FocusConfig(n_points=v), id="FocusConfig.n_points"),
+    pytest.param("chunk_size", lambda v: next(iter_trajectory(ScenarioSpec(kind="arc", frames=5),
+                                                              chunk_size=v)), id="iter_trajectory"),
+])
+def test_count_below_one_names_its_key(key, make):
+    with pytest.raises(ConfigError, match=f"^{key}: must be >= 1, got 0$"):
+        make(0)
+
+
+class TestComposeWorldMap:
+    def test_maps_world_points_through_the_map_then_the_scaled_pose(self):
+        rng = np.random.default_rng(11)
+        batch = PoseBatch(4, np.stack([random_rotation(rng) for _ in range(6)]),
+                          rng.standard_normal((6, 3)))
+        x = rng.standard_normal((3, 5))  # five world points as columns
+        for scale in (0.4, 1.0, 2.7):
+            d = RigidTransform(random_rotation(rng), rng.standard_normal(3))
+            rotations, translations = compose_world_map(batch, d, scale)
+            for r, t, r_i, t_i in zip(rotations, translations, batch.rotations, batch.translations):
+                expected = r_i @ (d.rotation @ x + d.translation[:, None]) + scale * t_i[:, None]
+                np.testing.assert_allclose(r @ x + t[:, None], expected, rtol=0.0, atol=1e-12)
 
 
 class TestProjection:
