@@ -4,10 +4,10 @@ Usage: python3 scripts/bench_rows.py [REPEATS]
 Imports ego_focus from the checkout's src/, ahead of any installed copy, as perfbench/run.py does.
 
 jsonl_write (write_pose_stream of the whole batch as one record), jsonl_load_records
-(load_pose_stream + to_pose) and jsonl_load_batches (load_pose_batches, the `run` loader; null
-where the tree lacks it) run on a 20,000-pose arc stream with truth; run_1080p times a whole
-`ego-focus run` at 1920x1080, fx=30, one thread, of 200 frames of dense_1080p's white-noise arc: of
-its 198 maps 156 are files of their own, the other 42 links to the previous frame's;
+(load_pose_stream + to_pose) and jsonl_load_batches (load_pose_batches, the `run` loader) run on a
+20,000-pose arc stream with truth; run_1080p times a whole `ego-focus run` at 1920x1080, fx=30,
+one thread, of 200 frames of dense_1080p's white-noise arc: of its 198 maps 156 are files of their
+own, the other 42 links to the previous frame's;
 pipe_latency_ms feeds a 200-frame arc line by line through os.pipe to run_stream(load_pose_batches)
 with a 60/5 plan, one thread and long_stream's 80x60 maps, and is the largest wait, over windows 0
 to 2, from a window's last line to its last map (null if one takes over 1 s; one pass);
@@ -68,9 +68,8 @@ def main(repeats=3):
             poses_path, streams.records_from_poses(poses, truth)), repeats))]
         rows.append(("jsonl_load_records", best_rate(len(poses), lambda: [
             r.to_pose() for r in streams.load_pose_stream(poses_path)], repeats)))
-        batches = getattr(streams, "load_pose_batches", None)
-        rows.append(("jsonl_load_batches", batches and best_rate(
-            len(poses), lambda: sum(len(b) for b in batches(poses_path)), repeats)))
+        rows.append(("jsonl_load_batches", best_rate(len(poses), lambda: sum(
+            len(b) for b in streams.load_pose_batches(poses_path)), repeats)))
         arc, _ = simulate.generate_trajectory(simulate.ScenarioSpec(
             kind="circular_arc", frames=200, radius=2.0, omega=0.05, bob_amplitude=0.01,
             jitter_amplitude_rad=0.004, noise_kind="white"))

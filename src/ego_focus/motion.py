@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, StreamDiscontinuityError
 from .geometry import (
     Intrinsics,
     PoseBatch,
@@ -262,7 +262,9 @@ class MotionStream:
     """Second differences, camera-frame rotation and projection of a pose stream.
 
     Feed pose chunks in frame order, of any length (zero too); each call
-    returns the samples that became complete, possibly none. Every chunk
+    returns the samples that became complete, possibly none. A non-empty
+    chunk that does not start at the frame after the last one pushed
+    raises StreamDiscontinuityError and changes nothing. Every chunk
     takes one array path over the rows carried from earlier calls, so
     results are bit-identical however the stream is chunked.
     """
@@ -273,9 +275,14 @@ class MotionStream:
         self.smooth_positions = smooth_positions
         self._raw = np.empty((0, 3))          # last <= 2 raw centers
         self._seq = np.empty((0, 3))          # last <= 2 differencing inputs
+        self._next_frame = None               # first frame of the next non-empty chunk
 
     def push(self, batch: PoseBatch) -> MotionBlock:
         """Feed the poses of the next consecutive frames."""
+        expected = self._next_frame
+        if len(batch) and expected is not None and batch.first_frame != expected:
+            raise StreamDiscontinuityError(
+                f"frame {batch.first_frame} follows {expected - 1}; expected {expected}")
         centers = batch.centers
         if self.smooth_positions:
             # Causal moving average of width 3, partial at the stream head.
@@ -304,4 +311,6 @@ class MotionStream:
         mag = np.linalg.norm(a_c, axis=1)
         uv, valid = project_pinhole_many(a_c, self.k)
         self._seq = seq[-2:].copy()
+        if len(batch):
+            self._next_frame = batch.end_frame
         return MotionBlock(frames, a_w, a_c, mag, uv, valid)

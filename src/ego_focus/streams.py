@@ -267,11 +267,19 @@ def write_pose_stream(target: Union[str, os.PathLike, IO[str]],
 
     Accepts a path ('-' for stdout) or an open text file. A record goes out
     _CHUNK_ROWS rows at a time, with one tolist() per array, so the lines of
-    a long record are never all in memory at once.
+    a long record are never all in memory at once. Each non-empty record
+    must start at the frame after the previous one's last, as the loader
+    requires; a gap or repeat raises ValueError.
     """
     count = 0
+    end = None
     with _text_file(target, "w", sys.stdout) as fh:
         for poses, truth in records:
+            if len(poses):
+                if end is not None and poses.first_frame != end:
+                    raise ValueError(f"frame {poses.first_frame} follows {end - 1}; "
+                                     f"expected {end}")
+                end = poses.end_frame
             columns = [] if truth is None else [np.asarray(getattr(truth, key), np.float64)
                                                 for key in _TRUTH_KEYS]
             if any(rows.shape != (len(poses), 3) for rows in columns):

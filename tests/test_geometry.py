@@ -452,13 +452,11 @@ class TestIntrinsics:
         assert k.scaled(np.int64(2)) == k.scaled(2)
 
 
-_K = Intrinsics(fx=600.0, fy=500.0, cx=480.0, cy=270.0, width=960, height=540)
-
-
 @pytest.mark.parametrize("key, make", [
     pytest.param("focus_n", lambda v: RunConfig(focus_n=v), id="RunConfig.focus_n"),
     pytest.param("map_scale", lambda v: RunConfig(map_scale=v), id="RunConfig.map_scale"),
-    pytest.param("map_scale", _K.scaled, id="Intrinsics.scaled"),
+    pytest.param("map_scale", Intrinsics(600.0, 500.0, 480.0, 270.0, 960, 540).scaled,
+                 id="Intrinsics.scaled"),
     pytest.param("n_points", lambda v: FocusConfig(n_points=v), id="FocusConfig.n_points"),
     pytest.param("chunk_size", lambda v: next(iter_trajectory(ScenarioSpec(kind="arc", frames=5),
                                                               chunk_size=v)), id="iter_trajectory"),

@@ -13,6 +13,7 @@ from ego_focus import (
     MotionStream,
     PoseBatch,
     ScenarioSpec,
+    StreamDiscontinuityError,
     generate_trajectory,
     modulate_depth,
     render_focus_map,
@@ -526,6 +527,21 @@ class TestMotionStream:
             np.testing.assert_array_equal(frames, whole.frames)
             assert a_w.tobytes() == whole.a_world.tobytes()
             np.testing.assert_array_equal(uv, whole.uv)
+
+    @pytest.mark.parametrize("smooth", [False, True])
+    def test_a_gap_or_repeat_raises_and_changes_nothing(self, smooth):
+        poses = arc_poses(40)
+        whole = MotionStream(WIDE, smooth).push(poses[:20])
+        stream = MotionStream(WIDE, smooth)
+        stream.push(poses[:10])
+        for start in (20, 5, 9, 11):
+            with pytest.raises(StreamDiscontinuityError,
+                               match=f"^frame {start} follows 9; expected 10$"):
+                stream.push(poses[start:start + 10])
+        assert len(stream.push(poses[30:30])) == 0  # an empty chunk is not checked
+        block = stream.push(poses[10:20])
+        assert block.frames.tolist() == list(range(10, 20))
+        assert block.a_world.tobytes() == whole.a_world[8:].tobytes()
 
     def test_focus_points_accessor(self):
         poses = arc_poses(10)

@@ -201,6 +201,22 @@ class TestPoseStreamRoundTrip:
         with pytest.raises(ValueError, match="a row of 3 per pose, 2 rows"):
             write_pose_stream(io.StringIO(), [PoseStreamRecord(poses[1:], truth)])
 
+    def test_records_must_follow_one_another(self, tmp_path):
+        # The loader would stop at the first gap or repeat, so the writer refuses it.
+        poses, _ = generate_trajectory(ScenarioSpec(kind="arc", frames=30))
+        old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+        old.write_text("kept\n")
+        for parts, message in (((0, 10), (20, 30), (5, 8)), "^frame 20 follows 9; expected 10$"), \
+                              (((0, 10), (5, 8)), "^frame 5 follows 9; expected 10$"):
+            for target in (old, new):
+                with pytest.raises(ValueError, match=message):
+                    write_pose_stream(target, [(poses[a:b], None) for a, b in parts])
+            assert old.read_text() == "kept\n" and not new.exists()
+        # an empty record is not checked
+        assert write_pose_stream(new, [(poses[:10], None), (poses[25:25], None),
+                                       (poses[10:12], None)]) == 12
+        assert PoseBatch.concat(list(load_pose_batches(new))) == poses[:12]
+
     def test_write_to_open_file(self):
         poses, _ = generate_trajectory(ScenarioSpec(kind="arc", frames=3))
         buf = io.StringIO()
